@@ -7,7 +7,9 @@ runs across the batch axis only.  Working arrays are kept transposed
 (position, batch) so each chain step touches contiguous memory.
 
 The scalar implementation is the reference; the test suite pins this
-engine against it element for element.
+engine against it element for element.  Per-round intermediates for the
+analyses come from :meth:`BatchCipher.trace_rounds`, the engine's only
+encryption round loop.
 """
 
 from __future__ import annotations
@@ -15,11 +17,20 @@ from __future__ import annotations
 import numpy as np
 
 from .cipher import NUM_ROUNDS, PARITY_NIB, PREFIX_NIB, SUFFIX_NIB
-from .quasigroup import INRU, Quasigroup
+from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
 
 _PREFIX = np.array(PREFIX_NIB, dtype=np.uint8)
 _SUFFIX = np.array(SUFFIX_NIB, dtype=np.uint8)
 _PARITY = np.array(PARITY_NIB, dtype=np.uint8)
+
+
+def _drain(steps):
+    """Run a generator to its end, keeping nothing it yields; return its value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 class BatchCipher:
@@ -33,39 +44,33 @@ class BatchCipher:
 
     # -- chained string transformations, state shape (length, n) -----------
 
-    def _e_left(self, table, leaders, w):
-        b = np.asarray(leaders, dtype=np.uint8)
-        if b.ndim == 0:
-            b = np.broadcast_to(b, w.shape[1:]).copy()
-        else:
-            b = b.copy()
-        for t in range(w.shape[0]):
-            np.take(table, (b << 4) | w[t], out=b)
-            w[t] = b
+    def _chain(self, leaders, src, out, direction):
+        """e_left or e_right of every column of ``src``, written to ``out``.
 
-    def _e_right(self, table, leaders, w):
+        ``out`` may be ``src`` itself; a fresh ``out`` leaves ``src`` intact.
+        """
+        n = src.shape[0]
+        order = range(n) if direction == LEFT else range(n - 1, -1, -1)
         b = np.asarray(leaders, dtype=np.uint8)
-        if b.ndim == 0:
-            b = np.broadcast_to(b, w.shape[1:]).copy()
-        else:
-            b = b.copy()
-        for t in range(w.shape[0] - 1, -1, -1):
-            np.take(table, (b << 4) | w[t], out=b)
-            w[t] = b
+        for t in order:
+            row = out[t]
+            np.take(self.mul_flat, (b << 4) | src[t], out=row)
+            b = row
 
-    def _d_left(self, leaders, w):
+    def _unchain(self, leaders, w, direction):
+        """d_left or d_right of every column of ``w``, in place."""
+        n = w.shape[0]
+        order = range(n) if direction == LEFT else range(n - 1, -1, -1)
         prev = np.broadcast_to(np.asarray(leaders, dtype=np.uint8), w.shape[1:])
-        for t in range(w.shape[0]):
+        for t in order:
             cur = w[t].copy()
-            w[t] = np.take(self.ldiv_flat, (prev.astype(np.uint8) << 4) | cur)
+            w[t] = np.take(self.ldiv_flat, (prev << 4) | cur)
             prev = cur
 
-    def _d_right(self, leaders, w):
-        prev = np.broadcast_to(np.asarray(leaders, dtype=np.uint8), w.shape[1:])
-        for t in range(w.shape[0] - 1, -1, -1):
-            cur = w[t].copy()
-            w[t] = np.take(self.ldiv_flat, (prev.astype(np.uint8) << 4) | cur)
-            prev = cur
+    def _chain_passes(self, leaders, w):
+        """Alternating e_left/e_right passes over ``w``, one per leader row."""
+        for i, leader in enumerate(leaders):
+            self._chain(leader, w, w, RIGHT if i & 1 else LEFT)
 
     # -- diffusion, state shape (16, n) -------------------------------------
 
@@ -102,11 +107,11 @@ class BatchCipher:
 
     # -- key schedule --------------------------------------------------------
 
-    def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
-        """Run the key schedule for n keys at once.
+    def _mixed_state_columns(self, keys, ivs) -> np.ndarray:
+        """Key mixing of (n, 32) keys and (n, 16) diversifiers, as (64, n) columns.
 
-        ``keys`` is (n, 32) nibbles, ``ivs`` (n, 16) or None for all-zero
-        diversifiers; returns round keys of shape (n, 17, 16).
+        The 64 passes take the seed string's nibbles s63, s62, ..., s0 as
+        leaders, always from the unmodified seed.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint8)
         if keys.ndim != 2 or keys.shape[1] != 32:
@@ -117,14 +122,21 @@ class BatchCipher:
         ivs = np.ascontiguousarray(ivs, dtype=np.uint8)
         tail = np.broadcast_to(np.arange(15, -1, -1, dtype=np.uint8), (n, 16))
         s = np.concatenate([keys, ivs, tail], axis=1).T.copy()  # (64, n)
-
         a = s.copy()
-        for i in range(1, 65):
-            if i & 1:
-                self._e_left(self.mul_flat, s[64 - i], a)
-            else:
-                self._e_right(self.mul_flat, s[64 - i], a)
-        return self._round_keys_from_state_columns(a)
+        self._chain_passes(s[::-1], a)
+        return a
+
+    def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
+        """Run the key schedule for n keys at once.
+
+        ``keys`` is (n, 32) nibbles, ``ivs`` (n, 16) or None for all-zero
+        diversifiers; returns round keys of shape (n, 17, 16).
+        """
+        return self._round_keys_from_state_columns(self._mixed_state_columns(keys, ivs))
+
+    def mix_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
+        """Key mixing only, returning the (n, 64) mixed states."""
+        return self._mixed_state_columns(keys, ivs).T.copy()
 
     def round_keys_from_states(self, states: np.ndarray) -> np.ndarray:
         """Round-key generation alone, from (n, 64) mixed-key states."""
@@ -136,34 +148,14 @@ class BatchCipher:
     def _round_keys_from_state_columns(self, a: np.ndarray) -> np.ndarray:
         n = a.shape[1]
         l = np.tile(np.arange(16, dtype=np.uint8), 34)[:, None].repeat(n, axis=1)
-        for i in range(1, 65):
-            if i & 1:
-                self._e_left(self.mul_flat, a[i - 1], l)
-            else:
-                self._e_right(self.mul_flat, a[i - 1], l)
+        self._chain_passes(a, l)
         rows = (32 * np.arange(17)[:, None] + 2 * np.arange(16)[None, :]).reshape(-1)
         return l[rows].reshape(17, 16, n).transpose(2, 0, 1).copy()
-
-    def mix_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
-        """Key mixing only, returning the (n, 64) mixed states."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
-        n = keys.shape[0]
-        if ivs is None:
-            ivs = np.zeros((n, 16), dtype=np.uint8)
-        tail = np.broadcast_to(np.arange(15, -1, -1, dtype=np.uint8), (n, 16))
-        s = np.concatenate([keys, np.ascontiguousarray(ivs, dtype=np.uint8), tail], axis=1).T.copy()
-        a = s.copy()
-        for i in range(1, 65):
-            if i & 1:
-                self._e_left(self.mul_flat, s[64 - i], a)
-            else:
-                self._e_right(self.mul_flat, s[64 - i], a)
-        return a.T.copy()
 
     # -- block encryption ----------------------------------------------------
 
     @staticmethod
-    def _round_key(rks, i, n):
+    def _round_key(rks, i):
         """Round key i as (16, n)-broadcastable column plus its leader nibbles."""
         if rks.ndim == 2:  # one schedule shared by the whole batch
             rk = rks[i][:, None]
@@ -171,26 +163,42 @@ class BatchCipher:
         rk = rks[:, i, :].T
         return rk, rk[0], rk[15]
 
-    def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
+    def trace_rounds(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS):
+        """Encrypt (n, 16) nibble blocks round by round, yielding the intermediates.
+
+        Yields ``(round, after_kxor, after_sbox, after_diffusion)`` per round,
+        each a fresh (16, n) array (position, block) that later rounds never
+        modify; ``after_diffusion`` is None for the literal round 16.  The
+        generator returns the state that the final whitening with round key
+        ``rounds`` applies to, as :meth:`encrypt` does.  ``rks`` is (17, 16)
+        or (n, 17, 16).
+        """
         if not 1 <= rounds <= NUM_ROUNDS:
             raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-        blocks = np.asarray(blocks, dtype=np.uint8)
-        n = blocks.shape[0]
         rks = np.asarray(rks, dtype=np.uint8)
-        w = blocks.T.copy()  # (16, n)
+        state = np.asarray(blocks, dtype=np.uint8).T.copy()  # (16, n)
         for i in range(1, rounds + 1):
-            rk, first, last = self._round_key(rks, i - 1, n)
-            w ^= rk
+            rk, first, last = self._round_key(rks, i - 1)
             if i & 1:
-                self._e_left(self.mul_flat, first, w)
-                if i != 16:
-                    w = self._diffuse_right(w)
+                leader, direction, diffuse = first, LEFT, self._diffuse_right
             else:
-                self._e_right(self.mul_flat, last, w)
-                if i != 16:
-                    w = self._diffuse_left(w)
-        rk, _, _ = self._round_key(rks, rounds, n)
+                leader, direction, diffuse = last, RIGHT, self._diffuse_left
+            # Rebinding every name before the next array is made keeps only
+            # the arrays this round still needs alive.
+            after_kxor = state ^ rk
+            state = after_sbox = np.empty_like(after_kxor)
+            self._chain(leader, after_kxor, after_sbox, direction)
+            after_diffusion = None
+            if i != 16:
+                state = after_diffusion = diffuse(after_sbox)
+            yield i, after_kxor, after_sbox, after_diffusion
+        return state
+
+    def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
+        rks = np.asarray(rks, dtype=np.uint8)
+        w = _drain(self.trace_rounds(blocks, rks, rounds))
+        rk, _, _ = self._round_key(rks, rounds)
         w ^= rk
         return w.T.copy()
 
@@ -198,21 +206,20 @@ class BatchCipher:
         if not 1 <= rounds <= NUM_ROUNDS:
             raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
         blocks = np.asarray(blocks, dtype=np.uint8)
-        n = blocks.shape[0]
         rks = np.asarray(rks, dtype=np.uint8)
         w = blocks.T.copy()
-        rk, _, _ = self._round_key(rks, rounds, n)
+        rk, _, _ = self._round_key(rks, rounds)
         w ^= rk
         for i in range(rounds, 0, -1):
-            rk, first, last = self._round_key(rks, i - 1, n)
+            rk, first, last = self._round_key(rks, i - 1)
             if i & 1:
                 if i != 16:
                     w = self._undiffuse_right(w)
-                self._d_left(first, w)
+                self._unchain(first, w, LEFT)
             else:
                 if i != 16:
                     w = self._undiffuse_left(w)
-                self._d_right(last, w)
+                self._unchain(last, w, RIGHT)
             w ^= rk
         return w.T.copy()
 

@@ -22,9 +22,10 @@ keys and round keys can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
 from typing import Iterable, Sequence
 
-from .quasigroup import INRU, Quasigroup
+from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
 
 BLOCK_NIBBLES = 16
 KEY_NIBBLES = 32
@@ -294,59 +295,37 @@ def _round_uses_diffusion(i: int) -> bool:
 def _encrypt_nibbles(
     m: Sequence[int], rk_nibs: Sequence[Sequence[int]], rounds: int, q: Quasigroup
 ) -> tuple[int, ...]:
-    mul = q.mul_table
-    c = list(m)
+    c = m
     for i in range(1, rounds + 1):
         rk = rk_nibs[i - 1]
-        for t in range(16):
-            c[t] ^= rk[t]
+        c = tuple(map(xor, c, rk))
         if i & 1:
-            b = rk[0]  # leader: first nibble of the odd round's key
-            for t in range(16):
-                b = mul[b][c[t]]
-                c[t] = b
+            c = q.e_left(rk[0], c)  # leader: first nibble of the odd round's key
             if _round_uses_diffusion(i):
-                c = list(_diffuse_right(c))
+                c = _diffuse_right(c)
         else:
-            b = rk[15]  # leader: last nibble of the even round's key
-            for t in range(15, -1, -1):
-                b = mul[b][c[t]]
-                c[t] = b
+            c = q.e_right(rk[15], c)  # leader: last nibble of the even round's key
             if _round_uses_diffusion(i):
-                c = list(_diffuse_left(c))
-    last = rk_nibs[rounds]
-    return tuple(c[t] ^ last[t] for t in range(16))
+                c = _diffuse_left(c)
+    return tuple(map(xor, c, rk_nibs[rounds]))
 
 
 def _decrypt_nibbles(
     c: Sequence[int], rk_nibs: Sequence[Sequence[int]], rounds: int, q: Quasigroup
 ) -> tuple[int, ...]:
-    ldiv = q.ldiv_table
-    last = rk_nibs[rounds]
-    m = [c[t] ^ last[t] for t in range(16)]
+    m = tuple(map(xor, c, rk_nibs[rounds]))
     for i in range(rounds, 0, -1):
         rk = rk_nibs[i - 1]
         if i & 1:
             if _round_uses_diffusion(i):
-                m = list(_undiffuse_right(m))
-            prev = rk[0]
-            out = []
-            for t in range(16):
-                out.append(ldiv[prev][m[t]])
-                prev = m[t]
-            m = out
+                m = _undiffuse_right(m)
+            m = q.d_left(rk[0], m)
         else:
             if _round_uses_diffusion(i):
-                m = list(_undiffuse_left(m))
-            prev = rk[15]
-            out = [0] * 16
-            for t in range(15, -1, -1):
-                out[t] = ldiv[prev][m[t]]
-                prev = m[t]
-            m = out
-        for t in range(16):
-            m[t] ^= rk[t]
-    return tuple(m)
+                m = _undiffuse_left(m)
+            m = q.d_right(rk[15], m)
+        m = tuple(map(xor, m, rk))
+    return m
 
 
 def encrypt_block(
@@ -402,43 +381,35 @@ class RoundTrace:
 def encrypt_block_traced(
     m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
 ) -> tuple[Block, tuple[RoundTrace, ...]]:
-    """encrypt_block plus the full list of per-round intermediates."""
-    if not 1 <= rounds <= NUM_ROUNDS:
-        raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-    mul = q.mul_table
-    c = list(m.nibbles)
+    """encrypt_block plus the full list of per-round intermediates.
+
+    A view over :meth:`inru.batch.BatchCipher.trace_rounds` at batch size 1.
+    """
+    from .batch import BatchCipher  # batch imports this module
+
+    rk_nibs = [k.nibbles for k in rk.keys]
     traces = []
-    for i in range(1, rounds + 1):
-        rk_n = rk.keys[i - 1].nibbles
-        c = [c[t] ^ rk_n[t] for t in range(16)]
-        after_kxor = tuple(c)
-        inputs = [None] * 16
-        if i & 1:
-            b = rk_n[0]
-            for t in range(16):
-                inputs[t] = (b, c[t])
-                b = mul[b][c[t]]
-                c[t] = b
-        else:
-            b = rk_n[15]
-            for t in range(15, -1, -1):
-                inputs[t] = (b, c[t])
-                b = mul[b][c[t]]
-                c[t] = b
-        after_sbox = tuple(c)
-        after_diffusion = None
-        if _round_uses_diffusion(i):
-            c = list(_diffuse_right(c) if i & 1 else _diffuse_left(c))
-            after_diffusion = tuple(c)
+    for i, y, z, u in BatchCipher(q).trace_rounds([m.nibbles], rk_nibs, rounds):
+        after_kxor = tuple(y[:, 0].tolist())
+        after_sbox = tuple(z[:, 0].tolist())
+        after_diffusion = None if u is None else tuple(u[:, 0].tolist())
+        key = rk_nibs[i - 1]
+        if i & 1:  # chained left to right from the key's first nibble
+            chain = (key[0],) + after_sbox[:15]
+        else:  # right to left from its last nibble
+            chain = after_sbox[1:] + (key[15],)
+        sbox_inputs = tuple(zip(chain, after_kxor))
         traces.append(
-            RoundTrace(i, rk_n, after_kxor, tuple(inputs), after_sbox, after_diffusion)
+            RoundTrace(i, key, after_kxor, sbox_inputs, after_sbox, after_diffusion)
         )
-    last = rk.keys[rounds].nibbles
-    out = Block(tuple(c[t] ^ last[t] for t in range(16)))
-    return out, tuple(traces)
+    state = traces[-1].after_diffusion or traces[-1].after_sbox
+    return Block(tuple(map(xor, state, rk_nibs[rounds]))), tuple(traces)
 
 
 # -- Algorithms 3 and 4: key schedule ----------------------------------------
+
+# Both key-schedule algorithms run 64 chain passes, e_left first.
+_ALTERNATING = (LEFT, RIGHT) * 32
 
 
 def mixing_string(key: MasterKey, iv: Diversifier) -> tuple[int, ...]:
@@ -458,13 +429,7 @@ def key_mixing(
     if iv is None:
         iv = Diversifier.zero()
     s = mixing_string(key, iv)
-    a: Sequence[int] = s
-    for i in range(1, 65):
-        if i & 1:
-            a = q.e_left(s[64 - i], a)
-        else:
-            a = q.e_right(s[64 - i], a)
-    return MixedKeyState(tuple(a))
+    return MixedKeyState(q.apply_chain(s[::-1], _ALTERNATING, s))
 
 
 def round_key_generation(a: MixedKeyState, q: Quasigroup = INRU) -> RoundKeys:
@@ -475,14 +440,7 @@ def round_key_generation(a: MixedKeyState, q: Quasigroup = INRU) -> RoundKeys:
     takes the 16 even-offset nibbles of the string's i-th 32-nibble chunk.
     The last chunk's odd offsets (through nibble 543) are simply unused.
     """
-    s = tuple(range(16)) * 34
-    l: Sequence[int] = s
-    leaders = a.nibbles
-    for i in range(1, 65):
-        if i & 1:
-            l = q.e_left(leaders[i - 1], l)
-        else:
-            l = q.e_right(leaders[i - 1], l)
+    l = q.apply_chain(a.nibbles, _ALTERNATING, tuple(range(16)) * 34)
     keys = tuple(
         Block(tuple(l[32 * i + 2 * j] for j in range(16))) for i in range(17)
     )

@@ -193,7 +193,7 @@ def cmd_vectors(args) -> int:
 def _load_quasigroup(args):
     from .quasigroup import INRU, LatinSquareError, load_square
 
-    if getattr(args, "square", None):
+    if args.square:
         try:
             return load_square(args.square)
         except LatinSquareError as e:
@@ -202,12 +202,15 @@ def _load_quasigroup(args):
 
 
 def cmd_analyze(args) -> int:
-    handler = _ANALYZERS.get(args.instrument)
-    if handler is None:
-        raise UsageError(
-            f"unknown instrument {args.instrument!r}; choose from {sorted(_ANALYZERS)}"
-        )
-    return handler(args)
+    ignored = [f for f in sorted(_ANALYZE_FLAGS - _HONOURS[args.instrument])
+               if getattr(args, f) is not None]
+    if ignored:
+        flags = ", ".join("--" + f for f in ignored)
+        raise UsageError(f"analyze {args.instrument} does not use {flags}")
+    for flag, default in {**_ANALYZE_DEFAULTS, "jobs": _default_jobs()}.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    return _ANALYZERS[args.instrument](args)
 
 
 def _analyze_ddt(args) -> int:
@@ -361,6 +364,29 @@ _ANALYZERS = {
     "qg-check": _analyze_qg_check,
 }
 
+# The analyze flags each instrument honours.  Any other flag given
+# explicitly is a usage error instead of being silently ignored; --out
+# applies to every instrument.
+_HONOURS = {
+    "ddt": {"view", "leader", "square"},
+    "lat": {"view", "leader", "square"},
+    "diff-prop": {"rounds", "trials", "delta", "seed"},
+    "avalanche": {"rounds", "trials", "keys", "seed", "jobs"},
+    "sac": {"rounds", "trials", "keys", "seed", "jobs"},
+    "key-avalanche": {"rounds", "trials", "seed"},
+    "nist": {"mode", "input", "keys", "bits", "seed", "jobs", "machine"},
+    "algsys": {"rounds"},
+    "qg-check": {"square"},
+}
+_ANALYZE_FLAGS = set().union(*_HONOURS.values())
+
+# The parser leaves every analyze flag at None so that explicit use is
+# visible to the check above; these defaults are filled in after it.
+_ANALYZE_DEFAULTS = {
+    "view": "wide", "leader": 0, "rounds": 16, "trials": 1000, "keys": 6,
+    "bits": 1 << 20, "mode": "ctr", "input": "zeros", "seed": 0, "machine": False,
+}
+
 
 # -- parser --------------------------------------------------------------------
 
@@ -399,19 +425,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="run an analysis instrument")
     sp.add_argument("instrument", choices=sorted(_ANALYZERS))
-    sp.add_argument("--view", choices=["wide", "row"], default="wide", help="sbox view for ddt/lat")
-    sp.add_argument("--leader", type=lambda s: int(s, 16), default=0, help="row-sbox leader (hex)")
+    sp.add_argument("--view", choices=["wide", "row"], help="sbox view for ddt/lat")
+    sp.add_argument("--leader", type=lambda s: int(s, 16), help="row-sbox leader (hex)")
     sp.add_argument("--square", help="Latin square file (default: built-in)")
-    sp.add_argument("--rounds", type=int, default=16)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--keys", type=int, default=6)
-    sp.add_argument("--bits", type=int, default=1 << 20)
-    sp.add_argument("--mode", choices=["cbc", "cfb", "ofb", "ctr"], default="ctr")
-    sp.add_argument("--input", choices=["zeros", "ones"], default="zeros")
+    sp.add_argument("--rounds", type=int)
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--keys", type=int)
+    sp.add_argument("--bits", type=int)
+    sp.add_argument("--mode", choices=["cbc", "cfb", "ofb", "ctr"])
+    sp.add_argument("--input", choices=["zeros", "ones"])
     sp.add_argument("--delta", help="input difference for diff-prop, 16 hex digits")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=_default_jobs())
-    sp.add_argument("--machine", action="store_true", help="append machine-readable lines")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--jobs", type=int, help="worker processes (default: INRU_JOBS or 1)")
+    sp.add_argument("--machine", action="store_true", default=None,
+                    help="append machine-readable lines")
     sp.add_argument("--out", help="output file (default stdout)")
     sp.set_defaults(func=cmd_analyze)
 

@@ -188,9 +188,6 @@ class Quasigroup:
                 raise ValueError(f"unknown direction {d!r}")
         return out
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.mul_table
-
 
 def conjugate(q: Quasigroup, which: str) -> Quasigroup:
     """The parastrophe whose multiplication is a division of q.

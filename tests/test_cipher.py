@@ -232,23 +232,34 @@ def test_rounds_out_of_range():
             decrypt_block(Block.zero(), rks, rounds=bad)
 
 
-def test_traced_encryption_matches_and_extracts_leaders(rng):
+@pytest.mark.parametrize("rounds", [1, 2, 15, 16])
+def test_traced_encryption_matches_and_extracts_leaders(rng, rounds):
     key, iv, m = random_key(rng), random_iv(rng), random_block(rng)
     rks = expand_key(key, iv)
-    ct, traces = encrypt_block_traced(m, rks)
-    assert ct == encrypt_block(m, rks)
-    assert len(traces) == 16
+    ct, traces = encrypt_block_traced(m, rks, rounds=rounds)
+    assert ct == encrypt_block(m, rks, rounds=rounds)
+    assert len(traces) == rounds
+    state = m
     for tr in traces:
         rk = rks[tr.index - 1].nibbles
+        assert tr.after_kxor == kxor(state, rks[tr.index - 1]).nibbles
+        assert tr.round_key == rk
         if tr.index % 2 == 1:
             assert tr.sbox_inputs[0][0] == rk[0]  # odd rounds seed from nibble 0
+            diffuse = diffuse_right
         else:
             assert tr.sbox_inputs[15][0] == rk[15]  # even rounds from nibble 15
+            diffuse = diffuse_left
         assert (tr.after_diffusion is None) == (tr.index == 16)
+        state = Block(tr.after_sbox)
+        if tr.after_diffusion is not None:
+            state = diffuse(state)
+            assert tr.after_diffusion == state.nibbles
         # chain consistency: each position's output feeds the next lookup
         for t in range(16):
             lead, x = tr.sbox_inputs[t]
             assert tr.after_sbox[t] == INRU.mul(lead, x)
+    assert ct == kxor(state, rks[rounds])
 
 
 def test_expand_key_deterministic():

@@ -181,6 +181,27 @@ def test_analyze_diff_prop(capsys):
     assert " 1.000" in out
 
 
+@pytest.mark.parametrize(
+    "instrument", ["diff-prop", "avalanche", "sac", "key-avalanche", "nist", "algsys"]
+)
+def test_analyze_rejects_square_where_unused(instrument, capsys):
+    assert run_cli("analyze", instrument, "--square", "/nonexistent") == 2
+    assert f"analyze {instrument} does not use --square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instrument", ["diff-prop", "key-avalanche"])
+def test_analyze_rejects_explicit_jobs_where_unused(instrument, monkeypatch, capsys):
+    assert run_cli("analyze", instrument, "--trials", "2", "--jobs", "2") == 2
+    assert "does not use --jobs" in capsys.readouterr().err
+    monkeypatch.setenv("INRU_JOBS", "2")  # an environment default is not a flag
+    assert run_cli("analyze", instrument, "--rounds", "2", "--trials", "2") == 0
+
+
+def test_analyze_nist_rejects_rounds(capsys):
+    assert run_cli("analyze", "nist", "--rounds", "4", "--bits", "128") == 2
+    assert "analyze nist does not use --rounds" in capsys.readouterr().err
+
+
 def test_analyze_unknown_instrument():
     with pytest.raises(SystemExit) as exc:
         run_cli("analyze", "nonsense")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,25 @@ from inru.experiments import (
 )
 
 LAST_NIBBLE = Block.from_hex("000000000000000f")
+GOLDEN_FILE = Path(__file__).parent / "data" / "diff_prop_activation.txt"
+
+
+def _golden_activations():
+    """{(rounds, trials, seed): activation counts} from the frozen file."""
+    tables, rows = {}, None
+    for line in GOLDEN_FILE.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        values = [int(v) for v in line.split()]
+        if len(values) == 3:
+            rows = tables.setdefault(tuple(values), [])
+        else:
+            rows.append(values)
+    return tables
+
+
+GOLDEN = _golden_activations()
 
 
 def test_zero_difference_rejected():
@@ -30,6 +51,14 @@ def test_two_round_full_activation():
     assert res.activation[0, 15] == 1.0
     # round 2: every Sbox goes active, every time
     assert np.all(res.activation[1] == 1.0)
+
+
+@pytest.mark.parametrize("rounds,trials,seed", sorted(GOLDEN))
+def test_diff_propagation_matches_frozen_activations(rounds, trials, seed):
+    res = diff_propagation_experiment(rounds, LAST_NIBBLE, trials, seed=seed)
+    expected = np.array(GOLDEN[rounds, trials, seed]) / trials
+    assert res.activation.shape == (rounds, 16)
+    assert np.array_equal(res.activation, expected)
 
 
 @pytest.mark.parametrize("nibble", [0, 5, 11])
