@@ -15,6 +15,24 @@ so they keep the diffusion step in their final round; only the literal
 round 16 drops it.  Decryption of a reduced variant inverts the rounds it
 actually ran.
 
+The scalar encryption engine (:func:`encrypt_int`) holds the block as its
+64-bit integer (the ``Block.to_int`` convention) and fuses each round's
+confusion chain and diffusion into one walk over the state's 8 bytes.
+With z the chain output and P = z0 ^ ... ^ z63 its parity, the two
+diffusion layers satisfy the scan identity
+
+    suffix xor (odd rounds):   u_j = P ^ z0 ^ ... ^ z(j-1)
+    prefix xor (even rounds):  u_j = 1 ^ P ^ z(j+1) ^ ... ^ z63
+
+so both scans run in the direction of their round's chain (left to right
+in odd rounds, right to left in even ones).  The walk carries the chain
+nibble and the running parity of the bits already passed, and one lookup
+per byte in a key-independent 8192-entry table, indexed by (chain nibble,
+parity, byte), gives the scanned output byte with the next chain nibble
+and parity.  The unknown P enters every bit alike, so it is applied at
+the end as one conditional complement with all-ones.  Literal round 16
+walks a third table, the right chain alone.
+
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
 """
@@ -22,8 +40,11 @@ keys and round keys can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import xor
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
 
@@ -217,6 +238,11 @@ class RoundKeys:
     def from_hex(cls, texts: Iterable[str]) -> "RoundKeys":
         return cls(tuple(Block.from_hex(t) for t in texts))
 
+    @cached_property
+    def ints(self) -> tuple[int, ...]:
+        """The round keys as 64-bit integers (``Block.to_int``), computed once."""
+        return tuple(k.to_int() for k in self.keys)
+
 
 # -- round primitives --------------------------------------------------------
 
@@ -292,22 +318,68 @@ def _round_uses_diffusion(i: int) -> bool:
     return i != 16
 
 
-def _encrypt_nibbles(
-    m: Sequence[int], rk_nibs: Sequence[Sequence[int]], rounds: int, q: Quasigroup
-) -> tuple[int, ...]:
-    c = m
+_ALL_ONES = (1 << 64) - 1
+
+
+@lru_cache(maxsize=8)
+def _round_tables(q: Quasigroup) -> tuple[list[int], list[int], list[int]]:
+    """The byte tables of :func:`encrypt_int` for q: odd rounds, even rounds, round 16.
+
+    A walk state s = chain << 1 | parity indexes entry s << 8 | byte, which
+    holds s' << 8 | output byte.  The odd-round table chains left to right
+    (high nibble first) and outputs the exclusive prefix parity; the
+    even-round table chains right to left (low nibble first), outputs the
+    complement of the exclusive suffix parity, and so needs the final
+    complement exactly when its parity ends at 1, like the odd table (see
+    the module docstring).  The round-16 table outputs the chain itself and
+    keeps parity 0.
+    """
+    mul = np.array(q.mul_table)
+    prefix, suffix, parity = (np.array(t) for t in (PREFIX_NIB, SUFFIX_NIB, PARITY_NIB))
+    # One nibble step from state (c, r) on input v, as entry s' << 4 | out.
+    c, r, v = np.indices((16, 2, 16)).reshape(3, -1)
+    z = mul[c, v]
+    flip = 15 * r
+    next_state = z << 1 | (r ^ parity[z])
+    odd = next_state << 4 | ((prefix[z] >> 1) ^ flip)
+    even = next_state << 4 | (((suffix[z] << 1) & 15) ^ 15 ^ flip)
+    plain = z << 5 | z
+    # Two nibble steps make one byte step: state s, byte hi << 4 | lo.
+    s, hi, lo = np.indices((32, 16, 16)).reshape(3, -1)
+
+    def byte_table(nib, high_first):
+        first, second = (hi, lo) if high_first else (lo, hi)
+        e1 = nib[s << 4 | first]
+        e2 = nib[(e1 & 0x1F0) | second]
+        out = (e1 & 15) << 4 | e2 & 15 if high_first else (e2 & 15) << 4 | e1 & 15
+        return ((e2 & 0x1F0) << 4 | out).tolist()
+
+    return byte_table(odd, True), byte_table(even, False), byte_table(plain, False)
+
+
+def encrypt_int(
+    x: int, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
+) -> int:
+    """:func:`encrypt_block` on the block's 64-bit integer ``x`` (``Block.to_int``)."""
+    if not 1 <= rounds <= NUM_ROUNDS:
+        raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
+    odd, even, last = _round_tables(q)
+    keys = rk.ints
     for i in range(1, rounds + 1):
-        rk = rk_nibs[i - 1]
-        c = tuple(map(xor, c, rk))
-        if i & 1:
-            c = q.e_left(rk[0], c)  # leader: first nibble of the odd round's key
-            if _round_uses_diffusion(i):
-                c = _diffuse_right(c)
-        else:
-            c = q.e_right(rk[15], c)  # leader: last nibble of the even round's key
-            if _round_uses_diffusion(i):
-                c = _diffuse_left(c)
-    return tuple(map(xor, c, rk_nibs[rounds]))
+        k = keys[i - 1]
+        if i & 1:  # leader: first nibble of the odd round's key
+            table, order, e = odd, "big", (k >> 60) << 9
+        else:  # leader: last nibble of the even round's key
+            table = even if _round_uses_diffusion(i) else last
+            order, e = "little", (k & 15) << 9
+        out = []
+        for b in (x ^ k).to_bytes(8, order):
+            e = table[(e & 0x1F00) | b]
+            out.append(e & 0xFF)
+        x = int.from_bytes(bytes(out), order)
+        if e & 0x100:
+            x ^= _ALL_ONES
+    return x ^ keys[rounds]
 
 
 def _decrypt_nibbles(
@@ -339,10 +411,7 @@ def encrypt_block(
     round 16 skips diffusion.  A final xor with rk[rounds] whitens the
     output.
     """
-    if not 1 <= rounds <= NUM_ROUNDS:
-        raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-    rk_nibs = [k.nibbles for k in rk.keys]
-    return Block(_encrypt_nibbles(m.nibbles, rk_nibs, rounds, q))
+    return Block.from_int(encrypt_int(m.to_int(), rk, rounds, q))
 
 
 def decrypt_block(

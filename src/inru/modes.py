@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchCipher
-from .cipher import Block, RoundKeys, encrypt_block, decrypt_block
+# encrypt_block is re-exported: ``inru.modes.encrypt_block`` stays importable.
+from .cipher import RoundKeys, encrypt_block, encrypt_int  # noqa: F401
 
 MODES = ("cbc", "cfb", "ofb", "ctr")
 BLOCK_BYTES = 8
@@ -68,24 +69,47 @@ def pkcs7_unpad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
     return data[:-n]
 
 
-def _split_blocks(data: bytes):
-    return [Block.from_bytes(data[i : i + 8]) for i in range(0, len(data), 8)]
+# Block values travel as 64-bit big-endian integers (``Block.to_int``) in
+# the sequential modes and as (n, 16) nibble arrays in the batch engine.
+
+
+def _block_ints(data: bytes) -> list[int]:
+    """The whole 8-byte blocks of ``data`` as integers."""
+    return np.frombuffer(data, dtype=">u8", count=len(data) // BLOCK_BYTES).tolist()
+
+
+def _ints_to_bytes(values: list[int]) -> bytes:
+    return np.array(values, dtype=">u8").tobytes()
+
+
+def _xor_bytes(data: bytes, stream: bytes) -> bytes:
+    """``data`` xored with the first ``len(data)`` bytes of ``stream``."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    return (a ^ np.frombuffer(stream, dtype=np.uint8, count=a.size)).tobytes()
+
+
+def _to_nibbles(data: bytes) -> np.ndarray:
+    """Whole blocks of ``data`` as (n, 16) nibbles, high half of each byte first."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    return np.stack([b >> 4, b & 15], axis=1).reshape(-1, 16)
+
+
+def _from_nibbles(nibs: np.ndarray) -> bytes:
+    return (nibs[:, 0::2] << 4 | nibs[:, 1::2]).tobytes()
+
+
+def _rk_nibbles(rk: RoundKeys) -> np.ndarray:
+    return np.array([k.nibbles for k in rk.keys], dtype=np.uint8)
 
 
 def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
     if nblocks > _CTR_LIMIT:
         raise ValueError(f"CTR stream of {nblocks} blocks exceeds the 2^32 counter space")
-    counters = np.zeros((nblocks, 16), dtype=np.uint8)
-    nonce = cfg.nonce
-    for t in range(8):
-        counters[:, t] = (nonce >> (28 - 4 * t)) & 0xF
-    ctr = np.arange(nblocks, dtype=np.uint64)
-    for t in range(8):
-        counters[:, 8 + t] = (ctr >> np.uint64(28 - 4 * t)) & np.uint64(0xF)
-    rks = np.array([k.nibbles for k in rk.keys], dtype=np.uint8)
-    out = BatchCipher().encrypt(counters, rks)
-    high = out[:, 0::2].astype(np.uint8) << 4
-    return (high | out[:, 1::2]).tobytes()
+    counters = np.empty((nblocks, 2), dtype=">u4")
+    counters[:, 0] = cfg.nonce
+    counters[:, 1] = np.arange(nblocks, dtype=np.uint32)
+    blocks = _to_nibbles(counters.tobytes())
+    return _from_nibbles(BatchCipher().encrypt(blocks, _rk_nibbles(rk)))
 
 
 def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
@@ -95,64 +119,58 @@ def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
             msg = pkcs7_pad(msg)
         elif len(msg) % BLOCK_BYTES:
             raise ValueError("CBC without padding needs a multiple of 8 bytes")
-        chain = Block.from_int(cfg.mode_iv)
-        out = bytearray()
-        for blk in _split_blocks(msg):
-            chain = encrypt_block(blk ^ chain, rk)
-            out += chain.to_bytes()
-        return bytes(out)
+        chain = cfg.mode_iv
+        out = []
+        for p in _block_ints(msg):
+            chain = encrypt_int(p ^ chain, rk)
+            out.append(chain)
+        return _ints_to_bytes(out)
 
     if cfg.mode == "cfb":
-        chain = Block.from_int(cfg.mode_iv)
-        out = bytearray()
-        for i in range(0, len(msg), 8):
-            ks = encrypt_block(chain, rk).to_bytes()
-            piece = msg[i : i + 8]
-            ct = bytes(a ^ b for a, b in zip(piece, ks))
-            out += ct
-            if len(ct) == 8:
-                chain = Block.from_bytes(ct)
-        return bytes(out)
+        chain = cfg.mode_iv
+        out = []
+        for p in _block_ints(msg):
+            chain = p ^ encrypt_int(chain, rk)
+            out.append(chain)
+        tail = msg[len(out) * BLOCK_BYTES :]
+        if tail:
+            tail = _xor_bytes(tail, encrypt_int(chain, rk).to_bytes(BLOCK_BYTES, "big"))
+        return _ints_to_bytes(out) + tail
 
+    nblocks = (len(msg) + 7) // BLOCK_BYTES
     if cfg.mode == "ofb":
-        feedback = Block.from_int(cfg.mode_iv)
-        out = bytearray()
-        for i in range(0, len(msg), 8):
-            feedback = encrypt_block(feedback, rk)
-            ks = feedback.to_bytes()
-            out += bytes(a ^ b for a, b in zip(msg[i : i + 8], ks))
-        return bytes(out)
+        feedback = cfg.mode_iv
+        ks = []
+        for _ in range(nblocks):
+            feedback = encrypt_int(feedback, rk)
+            ks.append(feedback)
+        return _xor_bytes(msg, _ints_to_bytes(ks))
 
     # ctr
-    nblocks = (len(msg) + 7) // 8
-    ks = _ctr_keystream_bytes(cfg, rk, nblocks)
-    return bytes(a ^ b for a, b in zip(msg, ks))
+    return _xor_bytes(msg, _ctr_keystream_bytes(cfg, rk, nblocks))
 
 
 def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
-    """Invert mode_encrypt, validating CBC padding."""
+    """Invert mode_encrypt, validating CBC padding.
+
+    CBC and CFB decryption need no chaining (NIST SP 800-38A), so both run
+    on the batch engine: CBC as P_i = D(C_i) ^ C_(i-1), CFB as
+    P_i = C_i ^ E(C_(i-1)), with C_(-1) the mode IV.
+    """
+    iv = cfg.mode_iv.to_bytes(BLOCK_BYTES, "big")
     if cfg.mode == "cbc":
         if len(ct) % BLOCK_BYTES:
             raise PaddingError("CBC ciphertext length not a multiple of 8")
-        chain = Block.from_int(cfg.mode_iv)
-        out = bytearray()
-        for blk in _split_blocks(ct):
-            out += (decrypt_block(blk, rk) ^ chain).to_bytes()
-            chain = blk
+        plain = BatchCipher().decrypt(_to_nibbles(ct), _rk_nibbles(rk))
+        out = _xor_bytes(_from_nibbles(plain), iv + ct)
         if cfg.padding == "pkcs7":
-            return pkcs7_unpad(bytes(out))
-        return bytes(out)
+            return pkcs7_unpad(out)
+        return out
 
     if cfg.mode == "cfb":
-        chain = Block.from_int(cfg.mode_iv)
-        out = bytearray()
-        for i in range(0, len(ct), 8):
-            ks = encrypt_block(chain, rk).to_bytes()
-            piece = ct[i : i + 8]
-            out += bytes(a ^ b for a, b in zip(piece, ks))
-            if len(piece) == 8:
-                chain = Block.from_bytes(piece)
-        return bytes(out)
+        nblocks = (len(ct) + 7) // BLOCK_BYTES
+        prev = _to_nibbles((iv + ct)[: nblocks * BLOCK_BYTES])
+        return _xor_bytes(ct, _from_nibbles(BatchCipher().encrypt(prev, _rk_nibbles(rk))))
 
     # OFB and CTR are their own inverses.
     return mode_encrypt(cfg, rk, ct)

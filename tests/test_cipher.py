@@ -17,6 +17,7 @@ from inru.cipher import (
     diffuse_right,
     encrypt_block,
     encrypt_block_traced,
+    encrypt_int,
     expand_key,
     key_mixing,
     kxor,
@@ -27,7 +28,7 @@ from inru.cipher import (
     undiffuse_left,
     undiffuse_right,
 )
-from inru.quasigroup import INRU
+from inru.quasigroup import INRU, conjugate
 
 # frozen from the straight-line transcription oracle
 ZERO_MIXED = "fbdd08377aa8304a027ef3dc3a8fe09d64cf05fa1c391bea9ec701363aa49117"
@@ -207,6 +208,61 @@ def test_reduced_round_variants_invert(rounds, rng):
         rks = expand_key(key)
         ct = encrypt_block(m, rks, rounds=rounds)
         assert decrypt_block(ct, rks, rounds=rounds) == m
+
+
+def _reference_encrypt(m, rks, rounds, q):
+    """The round loop written out from the public round primitives."""
+    c = m
+    for i in range(1, rounds + 1):
+        k = rks[i - 1]
+        c = kxor(k, c)
+        if i & 1:
+            c = diffuse_right(Block(q.e_left(k.nibbles[0], c.nibbles)))
+        else:
+            c = Block(q.e_right(k.nibbles[15], c.nibbles))
+            if i != 16:
+                c = diffuse_left(c)
+    return kxor(rks[rounds], c)
+
+
+@pytest.mark.parametrize("rounds", range(1, 17))
+def test_int_engine_matches_oracle_and_batch_engine(rounds, rng):
+    keys = [random_key(rng) for _ in range(8)]
+    blocks = [random_block(rng) for _ in range(8)]
+    rks = [expand_key(k) for k in keys]
+    batch = BatchCipher().encrypt(
+        np.array([m.nibbles for m in blocks]),
+        np.array([[k.nibbles for k in r.keys] for r in rks]),
+        rounds=rounds,
+    )
+    for key, m, r, want in zip(keys, blocks, rks, batch.tolist()):
+        ora_rks = ora.ora_expand_key(list(key.nibbles), [0] * 16)
+        assert ora.ora_encrypt(list(m.nibbles), ora_rks, rounds) == want
+        assert encrypt_int(m.to_int(), r, rounds) == Block(tuple(want)).to_int()
+        assert encrypt_block(m, r, rounds) == Block(tuple(want))
+
+
+@pytest.mark.parametrize("rounds", range(1, 17))
+def test_int_engine_under_a_second_quasigroup(rounds, rng):
+    q = conjugate(INRU, "left")
+    engine = BatchCipher(q)
+    for _ in range(4):
+        key, iv, m = random_key(rng), random_iv(rng), random_block(rng)
+        rks = expand_key(key, iv, q)
+        want = _reference_encrypt(m, rks, rounds, q)
+        assert want != _reference_encrypt(m, rks, rounds, INRU)
+        assert encrypt_block(m, rks, rounds, q) == want
+        assert encrypt_int(m.to_int(), rks, rounds, q) == want.to_int()
+        rk_array = np.array([k.nibbles for k in rks.keys])
+        assert engine.encrypt(np.array([m.nibbles]), rk_array, rounds).tolist() == [list(want.nibbles)]
+        assert decrypt_block(want, rks, rounds, q) == m
+
+
+def test_round_key_ints_are_cached_block_ints(rng):
+    rks = expand_key(random_key(rng), random_iv(rng))
+    assert rks.ints == tuple(k.to_int() for k in rks.keys)
+    assert rks.ints is rks.ints
+    assert RoundKeys.from_hex(k.to_hex() for k in rks.keys) == rks
 
 
 def test_two_round_inverse_exhaustive_last_nibble(rng):

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import straightline as ora
 from inru.cipher import Block, MasterKey, encrypt_block, expand_key
 from inru.modes import (
     ModeConfig,
@@ -15,7 +18,18 @@ from inru.modes import (
     pkcs7_unpad,
 )
 
-RK = expand_key(MasterKey.from_hex("000102030405060708090a0b0c0d0e0f"))
+KEY = "000102030405060708090a0b0c0d0e0f"
+RK = expand_key(MasterKey.from_hex(KEY))
+ORACLE_RKS = ora.ora_expand_key([int(ch, 16) for ch in KEY], [0] * 16)
+
+
+def _oracle_encrypt(block: bytes) -> bytes:
+    out = ora.ora_encrypt([v for b in block for v in (b >> 4, b & 15)], ORACLE_RKS)
+    return bytes(out[2 * j] << 4 | out[2 * j + 1] for j in range(8))
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 def test_mode_config_validation():
@@ -52,6 +66,34 @@ def test_round_trip_all_modes_and_lengths(mode, length):
     else:
         assert len(ct) == length
     assert mode_decrypt(cfg, RK, ct) == msg
+
+
+@pytest.mark.parametrize("mode", ["cbc", "cfb", "ofb", "ctr"])
+@pytest.mark.parametrize("length", [8, 8 * 41 + 5, 1024])
+def test_sampled_blocks_match_straightline_oracle(mode, length):
+    # Each sampled block is recomputed from the mode's definition with the
+    # oracle cipher; the last block of an 8k+5-byte stream is a partial tail.
+    cfg = ModeConfig(mode, mode_iv=0x0123456789ABCDEF, nonce=0xDEADBEEF)
+    msg = bytes((11 * i + 5) % 256 for i in range(length))
+    ct = mode_encrypt(cfg, RK, msg)
+    pt = pkcs7_pad(msg) if mode == "cbc" else msg
+    assert len(ct) == len(pt)
+    iv = cfg.mode_iv.to_bytes(8, "big")
+    nblocks = (len(pt) + 7) // 8
+    picks = random.Random(length).sample(range(nblocks), min(6, nblocks))
+    for i in sorted({0, nblocks - 1, *picks}):
+        p, c = pt[8 * i : 8 * i + 8], ct[8 * i : 8 * i + 8]
+        prev_c = ct[8 * i - 8 : 8 * i] if i else iv
+        if mode == "cbc":
+            assert c == _oracle_encrypt(_xor(p, prev_c))
+            continue
+        if mode == "cfb":
+            block_in = prev_c
+        elif mode == "ofb":  # the keystream feeds back on itself
+            block_in = _xor(pt[8 * i - 8 : 8 * i], prev_c) if i else iv
+        else:
+            block_in = cfg.nonce.to_bytes(4, "big") + i.to_bytes(4, "big")
+        assert _xor(p, c) == _oracle_encrypt(block_in)[: len(p)]
 
 
 @settings(max_examples=25)
