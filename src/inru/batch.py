@@ -1,23 +1,51 @@
-"""Vectorized cipher engine for bulk experiments.
+"""Vectorized cipher engine: key schedule, encryption, decryption, diffusion.
 
-Everything here recomputes what :mod:`inru.cipher` does, batched across
-independent inputs with numpy gathers; the chain structure of the string
-transformations is inherently sequential per position, so vectorization
-runs across the batch axis only.  Working arrays are kept transposed
-(position, batch) so each chain step touches contiguous memory.
+The cipher's algorithms run here batched across independent inputs with
+numpy gathers; the chain structure of the string transformations is
+inherently sequential per position, so vectorization runs across the
+batch axis only.  Working arrays are kept transposed (position, batch)
+so each chain step touches contiguous memory.
 
-The scalar implementation is the reference; the test suite pins this
-engine against it element for element.  Per-round intermediates for the
-analyses come from :meth:`BatchCipher.trace_rounds`, the engine's only
-encryption round loop.
+This engine is the library's only implementation of decryption, of the
+diffusion layers and of the round trace: :mod:`inru.cipher` runs them as
+one-block views over it, and keeps its own scalar encryption loop and key
+schedule for the sequential modes.  The test suite pins both engines to
+the independent transcription in ``tests/straightline.py``.  Per-round
+intermediates for the analyses come from :meth:`BatchCipher.trace_rounds`,
+the engine's only encryption round loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cipher import NUM_ROUNDS, PARITY_NIB, PREFIX_NIB, SUFFIX_NIB
 from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
+
+NUM_ROUNDS = 16
+
+# Per-nibble helpers for the xor-quasigroup diffusion layer (nibble bits
+# counted most significant first): PREFIX_NIB[v] has bit k = v0^...^vk,
+# SUFFIX_NIB[v] has bit k = vk^...^v3, PARITY_NIB[v] is the full parity.
+
+
+def _build_scan_tables():
+    prefix, suffix, parity = [], [], []
+    for v in range(16):
+        bits = [(v >> (3 - k)) & 1 for k in range(4)]
+        p = [bits[0]]
+        for k in range(1, 4):
+            p.append(p[-1] ^ bits[k])
+        s = [bits[3]]
+        for k in range(2, -1, -1):
+            s.append(s[-1] ^ bits[k])
+        s.reverse()
+        prefix.append(sum(b << (3 - k) for k, b in enumerate(p)))
+        suffix.append(sum(b << (3 - k) for k, b in enumerate(s)))
+        parity.append(p[-1])
+    return tuple(prefix), tuple(suffix), tuple(parity)
+
+
+PREFIX_NIB, SUFFIX_NIB, PARITY_NIB = _build_scan_tables()
 
 _PREFIX = np.array(PREFIX_NIB, dtype=np.uint8)
 _SUFFIX = np.array(SUFFIX_NIB, dtype=np.uint8)

@@ -145,7 +145,7 @@ def _one_key_sequence(args) -> bytes:
 
 
 def nist_experiment(
-    mode: str | ModeConfig,
+    mode: str,
     input_fill: str = "zeros",
     keys: int = 64,
     bits_per_seq: int = 1 << 20,
@@ -156,26 +156,20 @@ def nist_experiment(
     """Battery over ciphertext streams of ``keys`` random master keys in one mode.
 
     Sequences are the ciphertexts of the constant all-zeros or all-ones
-    message.  ``mode`` is a mode name, in which case mode IVs / nonces are
-    drawn per key from the same seeded generator as the keys, or a full
-    ModeConfig template whose IV material is then used for every key.
-    Either way a (seed, mode, fill) triple fully determines the report.
+    message.  ``mode`` is a mode name; each key's mode IV and nonce are
+    drawn from the same seeded generator as the keys, so a (seed, mode,
+    fill) triple fully determines the report.
     """
     if input_fill not in ("zeros", "ones"):
         raise ValueError("input_fill must be 'zeros' or 'ones'")
     fill = 0x00 if input_fill == "zeros" else 0xFF
-    template = mode if isinstance(mode, ModeConfig) else None
-    mode_name = template.mode if template else mode
     rng = np.random.default_rng(seed)
     units = []
     for _ in range(keys):
         key_hex = "".join(f"{v:x}" for v in rng.integers(0, 16, 32))
-        if template is not None:
-            mode_iv, nonce = template.mode_iv, template.nonce
-        else:
-            mode_iv = int(rng.integers(0, 1 << 63)) * 2 + int(rng.integers(0, 2))
-            nonce = int(rng.integers(0, 1 << 32))
-        units.append((mode_name, mode_iv, nonce, key_hex, fill, bits_per_seq))
+        mode_iv = int(rng.integers(0, 1 << 63)) * 2 + int(rng.integers(0, 2))
+        nonce = int(rng.integers(0, 1 << 32))
+        units.append((mode, mode_iv, nonce, key_hex, fill, bits_per_seq))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             packed = list(pool.map(_one_key_sequence, units))
@@ -187,7 +181,7 @@ def nist_experiment(
         report.records,
         report.n_sequences,
         alpha,
-        mode=mode_name,
+        mode=mode,
         input_fill=input_fill,
         meta={"keys": keys, "bits_per_seq": bits_per_seq, "seed": seed},
     )

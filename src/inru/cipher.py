@@ -33,6 +33,10 @@ and parity.  The unknown P enters every bit alike, so it is applied at
 the end as one conditional complement with all-ones.  Literal round 16
 walks a third table, the right chain alone.
 
+Decryption, the four diffusion primitives and the traced encryption are
+one-block views over :class:`inru.batch.BatchCipher`, the library's only
+implementation of each.
+
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
 """
@@ -41,41 +45,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import xor
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .batch import NUM_ROUNDS, PARITY_NIB, PREFIX_NIB, SUFFIX_NIB, BatchCipher
 from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
 
 BLOCK_NIBBLES = 16
 KEY_NIBBLES = 32
-NUM_ROUNDS = 16
 NUM_ROUND_KEYS = 17
-
-# Per-nibble helpers for the xor-quasigroup diffusion layer (nibble bits
-# counted most significant first): PREFIX_NIB[v] has bit k = v0^...^vk,
-# SUFFIX_NIB[v] has bit k = vk^...^v3, PARITY_NIB[v] is the full parity.
-
-
-def _build_scan_tables():
-    prefix, suffix, parity = [], [], []
-    for v in range(16):
-        bits = [(v >> (3 - k)) & 1 for k in range(4)]
-        p = [bits[0]]
-        for k in range(1, 4):
-            p.append(p[-1] ^ bits[k])
-        s = [bits[3]]
-        for k in range(2, -1, -1):
-            s.append(s[-1] ^ bits[k])
-        s.reverse()
-        prefix.append(sum(b << (3 - k) for k, b in enumerate(p)))
-        suffix.append(sum(b << (3 - k) for k, b in enumerate(s)))
-        parity.append(p[-1])
-    return tuple(prefix), tuple(suffix), tuple(parity)
-
-
-PREFIX_NIB, SUFFIX_NIB, PARITY_NIB = _build_scan_tables()
 
 
 def _check_nibbles(nibbles: Sequence[int], n: int, what: str) -> tuple[int, ...]:
@@ -243,6 +222,10 @@ class RoundKeys:
         """The round keys as 64-bit integers (``Block.to_int``), computed once."""
         return tuple(k.to_int() for k in self.keys)
 
+    def to_array(self) -> np.ndarray:
+        """A fresh (17, 16) uint8 nibble array: the ``rks`` of the batch engine."""
+        return np.array([k.nibbles for k in self.keys], dtype=np.uint8)
+
 
 # -- round primitives --------------------------------------------------------
 
@@ -252,70 +235,31 @@ def kxor(k: Block, a: Block) -> Block:
     return k ^ a
 
 
-def _diffuse_left(nibs: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    carry = 1  # leader bit
-    for v in nibs:
-        out.append(PREFIX_NIB[v] ^ (0xF if carry else 0))
-        carry ^= PARITY_NIB[v]
-    return tuple(out)
-
-
-def _diffuse_right(nibs: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * 16
-    carry = 0  # leader bit
-    for i in range(15, -1, -1):
-        v = nibs[i]
-        out[i] = SUFFIX_NIB[v] ^ (0xF if carry else 0)
-        carry ^= PARITY_NIB[v]
-    return tuple(out)
-
-
-def _undiffuse_left(nibs: Sequence[int]) -> tuple[int, ...]:
-    # m0 = 1 ^ c0, mi = c(i-1) ^ ci; per nibble: shift in the previous bit.
-    out = []
-    prev_bit = 1
-    for v in nibs:
-        out.append(v ^ (prev_bit << 3) ^ (v >> 1))
-        prev_bit = v & 1
-    return tuple(out)
-
-
-def _undiffuse_right(nibs: Sequence[int]) -> tuple[int, ...]:
-    # m63 = c63, mi = c(i+1) ^ ci
-    out = [0] * 16
-    next_bit = 0
-    for i in range(15, -1, -1):
-        v = nibs[i]
-        out[i] = v ^ ((v << 1) & 0xF) ^ next_bit
-        next_bit = (v >> 3) & 1
-    return tuple(out)
+def _column_view(layer, b: Block) -> Block:
+    """A batch diffusion layer applied to one block as a (16, 1) column."""
+    column = np.array(b.nibbles, dtype=np.uint8)[:, None]
+    return Block(tuple(layer(column)[:, 0].tolist()))
 
 
 def diffuse_left(b: Block) -> Block:
     """eLeft over (F2, xor) with leader 1: output bit j = 1 ^ (y0 ^ ... ^ yj)."""
-    return Block(_diffuse_left(b.nibbles))
+    return _column_view(BatchCipher._diffuse_left, b)
 
 
 def diffuse_right(b: Block) -> Block:
     """eRight over (F2, xor) with leader 0: output bit j = yj ^ ... ^ y63."""
-    return Block(_diffuse_right(b.nibbles))
+    return _column_view(BatchCipher._diffuse_right, b)
 
 
 def undiffuse_left(b: Block) -> Block:
-    return Block(_undiffuse_left(b.nibbles))
+    return _column_view(BatchCipher._undiffuse_left, b)
 
 
 def undiffuse_right(b: Block) -> Block:
-    return Block(_undiffuse_right(b.nibbles))
+    return _column_view(BatchCipher._undiffuse_right, b)
 
 
 # -- Algorithms 1 and 2 ------------------------------------------------------
-
-
-def _round_uses_diffusion(i: int) -> bool:
-    # Only the literal 16th round drops its diffusion step.
-    return i != 16
 
 
 _ALL_ONES = (1 << 64) - 1
@@ -370,7 +314,8 @@ def encrypt_int(
         if i & 1:  # leader: first nibble of the odd round's key
             table, order, e = odd, "big", (k >> 60) << 9
         else:  # leader: last nibble of the even round's key
-            table = even if _round_uses_diffusion(i) else last
+            # Only the literal 16th round drops its diffusion step.
+            table = even if i != 16 else last
             order, e = "little", (k & 15) << 9
         out = []
         for b in (x ^ k).to_bytes(8, order):
@@ -380,24 +325,6 @@ def encrypt_int(
         if e & 0x100:
             x ^= _ALL_ONES
     return x ^ keys[rounds]
-
-
-def _decrypt_nibbles(
-    c: Sequence[int], rk_nibs: Sequence[Sequence[int]], rounds: int, q: Quasigroup
-) -> tuple[int, ...]:
-    m = tuple(map(xor, c, rk_nibs[rounds]))
-    for i in range(rounds, 0, -1):
-        rk = rk_nibs[i - 1]
-        if i & 1:
-            if _round_uses_diffusion(i):
-                m = _undiffuse_right(m)
-            m = q.d_left(rk[0], m)
-        else:
-            if _round_uses_diffusion(i):
-                m = _undiffuse_left(m)
-            m = q.d_right(rk[15], m)
-        m = tuple(map(xor, m, rk))
-    return m
 
 
 def encrypt_block(
@@ -422,12 +349,11 @@ def decrypt_block(
     Decryption round i undoes encryption round (rounds+1-i), so it reads
     its leader from the opposite end of that round's key: the inverse of an
     even (right-chained) encryption round is a right-to-left division chain
-    seeded with the key's first nibble, and vice versa.
+    seeded with the key's first nibble, and vice versa.  A view over
+    :meth:`inru.batch.BatchCipher.decrypt` at batch size 1.
     """
-    if not 1 <= rounds <= NUM_ROUNDS:
-        raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-    rk_nibs = [k.nibbles for k in rk.keys]
-    return Block(_decrypt_nibbles(c.nibbles, rk_nibs, rounds, q))
+    plain = BatchCipher(q).decrypt(np.array([c.nibbles]), rk.to_array(), rounds)
+    return Block(tuple(plain[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -454,15 +380,12 @@ def encrypt_block_traced(
 
     A view over :meth:`inru.batch.BatchCipher.trace_rounds` at batch size 1.
     """
-    from .batch import BatchCipher  # batch imports this module
-
-    rk_nibs = [k.nibbles for k in rk.keys]
     traces = []
-    for i, y, z, u in BatchCipher(q).trace_rounds([m.nibbles], rk_nibs, rounds):
+    for i, y, z, u in BatchCipher(q).trace_rounds([m.nibbles], rk.to_array(), rounds):
         after_kxor = tuple(y[:, 0].tolist())
         after_sbox = tuple(z[:, 0].tolist())
         after_diffusion = None if u is None else tuple(u[:, 0].tolist())
-        key = rk_nibs[i - 1]
+        key = rk[i - 1].nibbles
         if i & 1:  # chained left to right from the key's first nibble
             chain = (key[0],) + after_sbox[:15]
         else:  # right to left from its last nibble
@@ -472,7 +395,7 @@ def encrypt_block_traced(
             RoundTrace(i, key, after_kxor, sbox_inputs, after_sbox, after_diffusion)
         )
     state = traces[-1].after_diffusion or traces[-1].after_sbox
-    return Block(tuple(map(xor, state, rk_nibs[rounds]))), tuple(traces)
+    return Block(state) ^ rk[rounds], tuple(traces)
 
 
 # -- Algorithms 3 and 4: key schedule ----------------------------------------

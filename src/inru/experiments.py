@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BatchCipher, blocks_to_bits
-from .cipher import Block
+from .cipher import Block, MasterKey, expand_key
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
     key_nibbles, count, sub_seed, rounds = args
     rng = np.random.default_rng(sub_seed)
     eng = BatchCipher()
-    rks_arr = eng.expand_keys(np.asarray(key_nibbles, dtype=np.uint8)[None, :])[0]
+    rks_arr = expand_key(MasterKey(tuple(key_nibbles))).to_array()
     pts = rng.integers(0, 16, size=(count, 16), dtype=np.uint8)
     base_bits = blocks_to_bits(eng.encrypt(pts, rks_arr, rounds=rounds))
     flipped = np.repeat(pts[None, :, :], 64, axis=0)  # (64, count, 16)
@@ -113,6 +113,8 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_flip_units(trials, keys, rounds, seed, jobs):
+    if keys < 1:
+        raise ValueError("keys must be positive")
     rng = np.random.default_rng(seed)
     key_nibbles = rng.integers(0, 16, size=(keys, 32), dtype=np.uint8)
     sub_seeds = rng.integers(0, 2**63, size=keys)

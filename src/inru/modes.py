@@ -98,10 +98,6 @@ def _from_nibbles(nibs: np.ndarray) -> bytes:
     return (nibs[:, 0::2] << 4 | nibs[:, 1::2]).tobytes()
 
 
-def _rk_nibbles(rk: RoundKeys) -> np.ndarray:
-    return np.array([k.nibbles for k in rk.keys], dtype=np.uint8)
-
-
 def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
     if nblocks > _CTR_LIMIT:
         raise ValueError(f"CTR stream of {nblocks} blocks exceeds the 2^32 counter space")
@@ -109,7 +105,7 @@ def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
     counters[:, 0] = cfg.nonce
     counters[:, 1] = np.arange(nblocks, dtype=np.uint32)
     blocks = _to_nibbles(counters.tobytes())
-    return _from_nibbles(BatchCipher().encrypt(blocks, _rk_nibbles(rk)))
+    return _from_nibbles(BatchCipher().encrypt(blocks, rk.to_array()))
 
 
 def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
@@ -161,7 +157,7 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
     if cfg.mode == "cbc":
         if len(ct) % BLOCK_BYTES:
             raise PaddingError("CBC ciphertext length not a multiple of 8")
-        plain = BatchCipher().decrypt(_to_nibbles(ct), _rk_nibbles(rk))
+        plain = BatchCipher().decrypt(_to_nibbles(ct), rk.to_array())
         out = _xor_bytes(_from_nibbles(plain), iv + ct)
         if cfg.padding == "pkcs7":
             return pkcs7_unpad(out)
@@ -170,7 +166,7 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
     if cfg.mode == "cfb":
         nblocks = (len(ct) + 7) // BLOCK_BYTES
         prev = _to_nibbles((iv + ct)[: nblocks * BLOCK_BYTES])
-        return _xor_bytes(ct, _from_nibbles(BatchCipher().encrypt(prev, _rk_nibbles(rk))))
+        return _xor_bytes(ct, _from_nibbles(BatchCipher().encrypt(prev, rk.to_array())))
 
     # OFB and CTR are their own inverses.
     return mode_encrypt(cfg, rk, ct)
@@ -182,6 +178,16 @@ def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.n
     This is the sequence-forming convention for the statistical battery:
     the randomness of a mode is judged on what it outputs for the constant
     all-zeros (or all-ones) plaintext stream.
+
+    Under one key, with E the block encryption and ~ the all-ones
+    complement, the chained modes' streams are tied to each other:
+
+    - zero fill: CBC, CFB and OFB from the same IV all output the orbit
+      E(IV), E(E(IV)), ..., so their streams are equal;
+    - OFB with ones fill is the complement of OFB with zero fill;
+    - CFB with ones fill from IV is the complement of CBC with ones fill
+      from ~IV: their first blocks are ~E(IV) and E(IV), and their next
+      blocks ~E(C) and E(~D) keep C = ~D.
     """
     if nbits <= 0:
         raise ValueError("nbits must be positive")

@@ -202,6 +202,13 @@ def test_analyze_nist_rejects_rounds(capsys):
     assert "analyze nist does not use --rounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instrument", ["avalanche", "sac"])
+@pytest.mark.parametrize("keys", ["0", "-1"])
+def test_analyze_rejects_too_few_keys(instrument, keys, capsys):
+    assert run_cli("analyze", instrument, "--trials", "8", "--keys", keys) == 2
+    assert "keys must be positive" in capsys.readouterr().err
+
+
 def test_analyze_unknown_instrument():
     with pytest.raises(SystemExit) as exc:
         run_cli("analyze", "nonsense")

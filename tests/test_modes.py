@@ -187,6 +187,19 @@ def test_cipher_stream_matches_mode_encrypt(mode):
     assert np.array_equal(got, np.unpackbits(np.frombuffer(ct, np.uint8))[:nbits])
 
 
+def test_chained_mode_streams_are_tied():
+    iv, ones, nbits = 0x0123456789ABCDEF, (1 << 64) - 1, 1024
+
+    def stream(mode, fill, mode_iv=iv):
+        return cipher_stream(ModeConfig(mode, mode_iv=mode_iv), RK, fill, nbits)
+
+    zeros = stream("cbc", 0x00)
+    assert np.array_equal(stream("cfb", 0x00), zeros)
+    assert np.array_equal(stream("ofb", 0x00), zeros)
+    assert np.array_equal(stream("ofb", 0xFF), 1 - zeros)
+    assert np.array_equal(stream("cfb", 0xFF), 1 - stream("cbc", 0xFF, iv ^ ones))
+
+
 def test_keystream_truncates_to_nbits():
     cfg = ModeConfig("ctr", nonce=1)
     assert keystream(cfg, RK, 10).size == 10
