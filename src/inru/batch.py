@@ -1,10 +1,12 @@
 """Vectorized cipher engine: key schedule, encryption, decryption, diffusion.
 
-The cipher's algorithms run here batched across independent inputs with
-numpy gathers; the chain structure of the string transformations is
-inherently sequential per position, so vectorization runs across the
-batch axis only.  Working arrays are kept transposed (position, batch)
-so each chain step touches contiguous memory.
+The cipher's algorithms run here batched across independent inputs.  The
+quasigroup chains are numpy gathers; their chain structure is inherently
+sequential per position, so vectorization runs across the batch axis
+only.  The diffusion layers are linear, so they run as shift-xors on the
+whole state plus one 15-step row scan, with no table lookups.  Working
+arrays are kept transposed (position, batch) so each row step touches
+contiguous memory.
 
 This engine is the library's only implementation of decryption, of the
 diffusion layers and of the round trace: :mod:`inru.cipher` runs them as
@@ -23,9 +25,10 @@ from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
 
 NUM_ROUNDS = 16
 
-# Per-nibble helpers for the xor-quasigroup diffusion layer (nibble bits
-# counted most significant first): PREFIX_NIB[v] has bit k = v0^...^vk,
-# SUFFIX_NIB[v] has bit k = vk^...^v3, PARITY_NIB[v] is the full parity.
+# Per-nibble scans of the xor-quasigroup diffusion layer (nibble bits
+# counted most significant first), for the scalar engine's fused round
+# tables: PREFIX_NIB[v] has bit k = v0^...^vk, SUFFIX_NIB[v] has bit
+# k = vk^...^v3, PARITY_NIB[v] is the full parity.
 
 
 def _build_scan_tables():
@@ -46,10 +49,6 @@ def _build_scan_tables():
 
 
 PREFIX_NIB, SUFFIX_NIB, PARITY_NIB = _build_scan_tables()
-
-_PREFIX = np.array(PREFIX_NIB, dtype=np.uint8)
-_SUFFIX = np.array(SUFFIX_NIB, dtype=np.uint8)
-_PARITY = np.array(PARITY_NIB, dtype=np.uint8)
 
 
 def _drain(steps):
@@ -102,22 +101,40 @@ class BatchCipher:
 
     # -- diffusion, state shape (16, n) -------------------------------------
 
+    # Diffusion is an xor scan over the 64 state bits (v0 the msb of
+    # nibble 0).  Inside each nibble it is two shift-xors over the whole
+    # array; the parity carried in from the other nibbles and the leader
+    # bit (1 from the left, 0 from the right) is a 15-step row scan whose
+    # result flips all four bits of a nibble.
+
     @staticmethod
     def _diffuse_left(w):
-        pfx = _PREFIX[w]
-        carry = np.bitwise_xor.accumulate(_PARITY[w], axis=0)
-        carry = np.roll(carry, 1, axis=0)
-        carry[0] = 0
-        carry ^= 1  # leader bit
-        return pfx ^ (carry * np.uint8(15))
+        y = w >> 1
+        y ^= w
+        y ^= y >> 2  # prefix xors; the low bit is the nibble's parity
+        flip = np.empty_like(w)
+        flip[0] = 1
+        np.bitwise_and(y[:-1], 1, out=flip[1:])
+        for t in range(1, 16):
+            flip[t] ^= flip[t - 1]
+        flip *= 15
+        y ^= flip
+        return y
 
     @staticmethod
     def _diffuse_right(w):
-        sfx = _SUFFIX[w]
-        carry = np.bitwise_xor.accumulate(_PARITY[w][::-1], axis=0)[::-1]
-        carry = np.roll(carry, -1, axis=0)
-        carry[-1] = 0  # leader bit 0
-        return sfx ^ (carry * np.uint8(15))
+        y = w << 1
+        y ^= w
+        y ^= y << 2
+        y &= 15  # suffix xors; the top bit is the nibble's parity
+        flip = np.empty_like(w)
+        flip[-1] = 0
+        np.right_shift(y[1:], 3, out=flip[:-1])
+        for t in range(14, -1, -1):
+            flip[t] ^= flip[t + 1]
+        flip *= 15
+        y ^= flip
+        return y
 
     @staticmethod
     def _undiffuse_left(w):

@@ -162,6 +162,10 @@ def nist_experiment(
     """
     if input_fill not in ("zeros", "ones"):
         raise ValueError("input_fill must be 'zeros' or 'ones'")
+    if keys < 1:
+        raise ValueError("keys must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     fill = 0x00 if input_fill == "zeros" else 0xFF
     rng = np.random.default_rng(seed)
     units = []

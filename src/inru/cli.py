@@ -260,7 +260,7 @@ def _analyze_avalanche(args) -> int:
         args.trials, keys=args.keys, rounds=args.rounds, seed=args.seed, jobs=args.jobs
     )
     lines = [
-        f"# plaintext avalanche: {args.trials} trials, {args.keys} keys,"
+        f"# plaintext avalanche: {args.trials} trials, {res.keys} keys,"
         f" {args.rounds} round(s), seed {args.seed}",
         render_ranges("avalanche", res.ranges).rstrip(),
         "per-bit mean flip percentage:",
@@ -278,7 +278,7 @@ def _analyze_sac(args) -> int:
         args.trials, keys=args.keys, rounds=args.rounds, seed=args.seed, jobs=args.jobs
     )
     lines = [
-        f"# strict avalanche matrix: {args.trials} trials, {args.keys} keys, seed {args.seed}",
+        f"# strict avalanche matrix: {args.trials} trials, {res.keys} keys, seed {args.seed}",
         render_ranges("strict avalanche", res.ranges).rstrip(),
         "# matrix rows: flipped plaintext bit; columns: ciphertext bit",
     ]

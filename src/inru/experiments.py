@@ -113,8 +113,14 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_flip_units(trials, keys, rounds, seed, jobs):
+    """Spread ``trials`` over ``keys`` keys; a key whose share is 0 never runs.
+
+    Returns (flip_counts, unit_means, keys_run).
+    """
     if keys < 1:
         raise ValueError("keys must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     rng = np.random.default_rng(seed)
     key_nibbles = rng.integers(0, 16, size=(keys, 32), dtype=np.uint8)
     sub_seeds = rng.integers(0, 2**63, size=keys)
@@ -131,13 +137,13 @@ def _run_flip_units(trials, keys, rounds, seed, jobs):
         results = [_flip_unit(u) for u in units]
     flip_counts = sum(r[0] for r in results)
     unit_means = np.concatenate([r[1] for r in results])
-    return flip_counts, unit_means
+    return flip_counts, unit_means, len(units)
 
 
 @dataclass(frozen=True)
 class AvalancheResult:
     trials: int
-    keys: int
+    keys: int  # keys that ran: at most ``trials``
     per_bit_mean: np.ndarray  # (64,) mean flipped-bit percentage per flipped input bit
     unit_values: np.ndarray  # per (plaintext, key) average percentage over 64 flips
     ranges: QuantileRanges
@@ -154,15 +160,15 @@ def avalanche_plaintext(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    flip_counts, unit_means = _run_flip_units(trials, keys, rounds, seed, jobs)
+    flip_counts, unit_means, keys_run = _run_flip_units(trials, keys, rounds, seed, jobs)
     per_bit = flip_counts.sum(axis=1) / (len(unit_means) * 64) * 100.0
-    return AvalancheResult(trials, keys, per_bit, unit_means, QuantileRanges.of(unit_means))
+    return AvalancheResult(trials, keys_run, per_bit, unit_means, QuantileRanges.of(unit_means))
 
 
 @dataclass(frozen=True)
 class SacResult:
     trials: int
-    keys: int
+    keys: int  # keys that ran: at most ``trials``
     matrix: np.ndarray  # (64, 64) flip frequencies in [0, 1]
     ranges: QuantileRanges  # over the 4096 entries, in percent
 
@@ -174,9 +180,9 @@ def sac_matrix(
     when plaintext bit i is flipped, pooled over all trials and keys."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    flip_counts, unit_means = _run_flip_units(trials, keys, rounds, seed, jobs)
+    flip_counts, unit_means, keys_run = _run_flip_units(trials, keys, rounds, seed, jobs)
     matrix = flip_counts / len(unit_means)
-    return SacResult(trials, keys, matrix, QuantileRanges.of(matrix.reshape(-1) * 100.0))
+    return SacResult(trials, keys_run, matrix, QuantileRanges.of(matrix.reshape(-1) * 100.0))
 
 
 # -- key schedule avalanche ----------------------------------------------------

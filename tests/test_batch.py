@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import straightline as ora
 
 from inru.batch import BatchCipher, bits_to_blocks, blocks_to_bits
 from inru.cipher import Block, Diversifier, MasterKey, encrypt_block, expand_key
@@ -127,3 +128,40 @@ def test_rounds_validation(engine):
             engine.encrypt(blocks, rks, rounds=bad)
         with pytest.raises(ValueError):
             engine.decrypt(blocks, rks, rounds=bad)
+
+
+_DIFFUSIONS = [
+    (BatchCipher._diffuse_left, BatchCipher._undiffuse_left, ora.ora_diffuse_left),
+    (BatchCipher._diffuse_right, BatchCipher._undiffuse_right, ora.ora_diffuse_right),
+]
+
+
+@pytest.mark.parametrize("diffuse, undiffuse, oracle", _DIFFUSIONS)
+@pytest.mark.parametrize("width", [1, 3, 8, 13, 1000])
+def test_diffusion_matches_oracle_column_by_column(diffuse, undiffuse, oracle, width):
+    rng = np.random.default_rng(width)
+    w = rng.integers(0, 16, size=(16, width), dtype=np.uint8)
+    w[:, 0] = 15  # every parity carry set
+    if width > 1:
+        w[:, 1] = 0
+    before = w.copy()
+    out = diffuse(w)
+    assert np.array_equal(w, before)
+    assert out.shape == (16, width) and out.dtype == np.uint8
+    for j in range(width):
+        assert out[:, j].tolist() == oracle(w[:, j].tolist())
+    assert np.array_equal(undiffuse(out), w)
+
+
+@pytest.mark.parametrize("rounds", [3, 16])
+def test_traced_sbox_outputs_survive_later_rounds(engine, rounds):
+    rng = np.random.default_rng(30 + rounds)
+    blocks = rng.integers(0, 16, size=(13, 16), dtype=np.uint8)
+    rks = engine.expand_keys(rng.integers(0, 16, size=(13, 32), dtype=np.uint8))
+    kept, copies = [], []
+    for _, _, after_sbox, _ in engine.trace_rounds(blocks, rks, rounds):
+        kept.append(after_sbox)
+        copies.append(after_sbox.copy())
+    assert len(kept) == rounds
+    for a, b in zip(kept, copies):
+        assert np.array_equal(a, b)

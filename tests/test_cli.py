@@ -209,6 +209,28 @@ def test_analyze_rejects_too_few_keys(instrument, keys, capsys):
     assert "keys must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys", ["0", "-3"])
+def test_analyze_nist_rejects_too_few_keys(keys, capsys):
+    assert run_cli("analyze", "nist", "--keys", keys, "--bits", "128") == 2
+    assert "keys must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instrument", ["avalanche", "sac", "nist"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_analyze_rejects_too_few_jobs(instrument, jobs, capsys):
+    assert run_cli("analyze", instrument, "--keys", "1", "--jobs", jobs) == 2
+    assert "jobs must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instrument, header", [
+    ("avalanche", "# plaintext avalanche: 4 trials, 4 keys,"),
+    ("sac", "# strict avalanche matrix: 4 trials, 4 keys,"),
+])
+def test_analyze_reports_the_keys_that_ran(instrument, header, capsys):
+    assert run_cli("analyze", instrument, "--trials", "4", "--keys", "6") == 0
+    assert capsys.readouterr().out.startswith(header)
+
+
 def test_analyze_unknown_instrument():
     with pytest.raises(SystemExit) as exc:
         run_cli("analyze", "nonsense")

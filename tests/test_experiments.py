@@ -86,6 +86,13 @@ def test_avalanche_validates_trials():
         avalanche_plaintext(trials=0)
 
 
+@pytest.mark.parametrize("experiment", [avalanche_plaintext, sac_matrix])
+@pytest.mark.parametrize("trials, keys, ran", [(4, 6, 4), (6, 6, 6), (7, 3, 3)])
+def test_results_count_the_keys_that_ran(experiment, trials, keys, ran):
+    res = experiment(trials=trials, keys=keys, seed=4)
+    assert res.trials == trials and res.keys == ran
+
+
 def test_sac_matrix_statistics():
     res = sac_matrix(trials=900, keys=3, seed=6)
     assert res.matrix.shape == (64, 64)
