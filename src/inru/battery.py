@@ -5,10 +5,18 @@ p-values across sequences (the serial test contributes two per sequence),
 which is what a one-number-per-test summary of many sequences reports.
 A sequence passes a test when every p-value is at least the significance
 level (default 0.01).
+
+A result marked not applicable (a sequence below the test's minimum
+length, or the runs test's failed frequency prerequisite) has no p-value.
+It enters neither the mean p-value nor the pass proportion, whose
+denominator is the number of sequences the test applies to.  The reports
+print that count and the reason, and print ``n/a`` as the mean of a test
+that applies to no sequence.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -62,11 +70,28 @@ class TestRecord:
         return [p for r in self.results for p in r.p_values]
 
     def mean_p(self) -> float:
+        """Mean p-value over the sequences the test applies to; nan if none."""
         ps = self.p_values()
-        return float(np.mean(ps)) if ps else 0.0
+        return float(np.mean(ps)) if ps else math.nan
 
     def pass_count(self, alpha: float = DEFAULT_ALPHA) -> int:
         return sum(1 for r in self.results if r.passed(alpha))
+
+    def applicable_count(self) -> int:
+        return sum(1 for r in self.results if r.applicable)
+
+    def summary(self, alpha: float, digits: int) -> tuple[str, str]:
+        """The rendered mean p-value and ``passes/applicable`` of this test."""
+        applicable = self.applicable_count()
+        mean = f"{self.mean_p():.{digits}f}" if applicable else "n/a"
+        return mean, f"{self.pass_count(alpha)}/{applicable}"
+
+    def inapplicable_note(self) -> str:
+        """How many sequences the test does not apply to, and why; or ''."""
+        skipped = [r for r in self.results if not r.applicable]
+        if not skipped:
+            return ""
+        return f"not applicable to {len(skipped)} of {len(self.results)}: {skipped[0].note}"
 
 
 @dataclass(frozen=True)
@@ -88,7 +113,10 @@ class TestReport:
         return self.record(test).mean_p()
 
     def pass_proportion(self, test: str) -> float:
-        return self.record(test).pass_count(self.alpha) / self.n_sequences
+        """Passing share of the sequences the test applies to; nan if none."""
+        rec = self.record(test)
+        applicable = rec.applicable_count()
+        return rec.pass_count(self.alpha) / applicable if applicable else math.nan
 
     def render_table(self) -> str:
         label = f" ({self.mode}, {self.input_fill} input)" if self.mode else ""
@@ -100,10 +128,13 @@ class TestReport:
             lines.append("parameters: " + ", ".join(f"{k}={v}" for k, v in self.meta.items()))
         lines.append(f"{'test':6s} {'name':28s} {'mean p':>8s} {'pass':>7s}  params")
         for r in self.records:
-            passes = f"{r.pass_count(self.alpha)}/{self.n_sequences}"
-            params = ", ".join(f"{k}={v}" for k, v in r.params.items() if k != "n")
+            mean, passes = r.summary(self.alpha, 4)
+            params = [f"{k}={v}" for k, v in r.params.items() if k != "n"]
+            note = r.inapplicable_note()
+            if note:
+                params.append(note)
             lines.append(
-                f"{r.test:6s} {TEST_NAMES[r.test]:28s} {r.mean_p():8.4f} {passes:>7s}  {params}"
+                f"{r.test:6s} {TEST_NAMES[r.test]:28s} {mean:>8s} {passes:>7s}  {', '.join(params)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -112,10 +143,8 @@ class TestReport:
         fill = self.input_fill or "-"
         out = []
         for r in self.records:
-            out.append(
-                f"{mode},{fill},{r.test},{r.mean_p():.6f},"
-                f"{r.pass_count(self.alpha)}/{self.n_sequences}"
-            )
+            mean, passes = r.summary(self.alpha, 6)
+            out.append(f"{mode},{fill},{r.test},{mean},{passes}")
         return "\n".join(out) + "\n"
 
 

@@ -16,22 +16,11 @@ round 16 drops it.  Decryption of a reduced variant inverts the rounds it
 actually ran.
 
 The scalar encryption engine (:func:`encrypt_int`) holds the block as its
-64-bit integer (the ``Block.to_int`` convention) and fuses each round's
-confusion chain and diffusion into one walk over the state's 8 bytes.
-With z the chain output and P = z0 ^ ... ^ z63 its parity, the two
-diffusion layers satisfy the scan identity
-
-    suffix xor (odd rounds):   u_j = P ^ z0 ^ ... ^ z(j-1)
-    prefix xor (even rounds):  u_j = 1 ^ P ^ z(j+1) ^ ... ^ z63
-
-so both scans run in the direction of their round's chain (left to right
-in odd rounds, right to left in even ones).  The walk carries the chain
-nibble and the running parity of the bits already passed, and one lookup
-per byte in a key-independent 8192-entry table, indexed by (chain nibble,
-parity, byte), gives the scanned output byte with the next chain nibble
-and parity.  The unknown P enters every bit alike, so it is applied at
-the end as one conditional complement with all-ones.  Literal round 16
-walks a third table, the right chain alone.
+64-bit integer (the ``Block.to_int`` convention) and runs each round as one
+walk over the state's 8 bytes through the round tables of
+:func:`inru.batch.tables`, which fuse the confusion chain with the
+diffusion scan; the batch engine walks the same tables.  The key schedule
+here runs on :meth:`Quasigroup.apply_chain`.
 
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
@@ -49,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .batch import NUM_ROUNDS, PARITY_NIB, PREFIX_NIB, SUFFIX_NIB, BatchCipher
+from .batch import NUM_ROUNDS, BatchCipher, tables
 from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
 
 BLOCK_NIBBLES = 16
@@ -266,39 +255,10 @@ _ALL_ONES = (1 << 64) - 1
 
 
 @lru_cache(maxsize=8)
-def _round_tables(q: Quasigroup) -> tuple[list[int], list[int], list[int]]:
-    """The byte tables of :func:`encrypt_int` for q: odd rounds, even rounds, round 16.
-
-    A walk state s = chain << 1 | parity indexes entry s << 8 | byte, which
-    holds s' << 8 | output byte.  The odd-round table chains left to right
-    (high nibble first) and outputs the exclusive prefix parity; the
-    even-round table chains right to left (low nibble first), outputs the
-    complement of the exclusive suffix parity, and so needs the final
-    complement exactly when its parity ends at 1, like the odd table (see
-    the module docstring).  The round-16 table outputs the chain itself and
-    keeps parity 0.
-    """
-    mul = np.array(q.mul_table)
-    prefix, suffix, parity = (np.array(t) for t in (PREFIX_NIB, SUFFIX_NIB, PARITY_NIB))
-    # One nibble step from state (c, r) on input v, as entry s' << 4 | out.
-    c, r, v = np.indices((16, 2, 16)).reshape(3, -1)
-    z = mul[c, v]
-    flip = 15 * r
-    next_state = z << 1 | (r ^ parity[z])
-    odd = next_state << 4 | ((prefix[z] >> 1) ^ flip)
-    even = next_state << 4 | (((suffix[z] << 1) & 15) ^ 15 ^ flip)
-    plain = z << 5 | z
-    # Two nibble steps make one byte step: state s, byte hi << 4 | lo.
-    s, hi, lo = np.indices((32, 16, 16)).reshape(3, -1)
-
-    def byte_table(nib, high_first):
-        first, second = (hi, lo) if high_first else (lo, hi)
-        e1 = nib[s << 4 | first]
-        e2 = nib[(e1 & 0x1F0) | second]
-        out = (e1 & 15) << 4 | e2 & 15 if high_first else (e2 & 15) << 4 | e1 & 15
-        return ((e2 & 0x1F0) << 4 | out).tolist()
-
-    return byte_table(odd, True), byte_table(even, False), byte_table(plain, False)
+def _round_table_lists(q: Quasigroup) -> tuple[list[int], list[int], list[int]]:
+    """The round tables of :func:`inru.batch.tables` as lists, for int lookups."""
+    t = tables(q)
+    return t.odd.tolist(), t.even.tolist(), t.last.tolist()
 
 
 def encrypt_int(
@@ -307,7 +267,7 @@ def encrypt_int(
     """:func:`encrypt_block` on the block's 64-bit integer ``x`` (``Block.to_int``)."""
     if not 1 <= rounds <= NUM_ROUNDS:
         raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-    odd, even, last = _round_tables(q)
+    odd, even, last = _round_table_lists(q)
     keys = rk.ints
     for i in range(1, rounds + 1):
         k = keys[i - 1]

@@ -197,6 +197,9 @@ class KeyAvalancheResult:
     per_bit_ct_mean: np.ndarray  # (128,) ciphertext flip fraction per master-key bit
 
 
+_NIBBLE_WEIGHT = np.array([bin(v).count("1") for v in range(16)], dtype=np.uint8)
+
+
 def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheResult:
     """Flip each of the 128 master-key bits and measure downstream changes."""
     if trials < 1:
@@ -211,9 +214,8 @@ def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheR
         keys[:, 1 + b, b >> 2] ^= 1 << (3 - (b & 3))
     rks = eng.expand_keys(keys.reshape(-1, 32)).reshape(trials, 129, 17, 16)
 
-    shifts = np.array([3, 2, 1, 0], dtype=np.uint8)
-    rk_bits = ((rks[..., None] >> shifts) & 1).reshape(trials, 129, 17 * 64)
-    rk_diffs = (rk_bits[:, 1:, :] != rk_bits[:, :1, :]).sum(axis=2)  # (trials, 128)
+    rk_flips = _NIBBLE_WEIGHT[rks[:, 1:] ^ rks[:, :1]]
+    rk_diffs = rk_flips.sum(axis=(2, 3), dtype=np.int64)  # (trials, 128)
 
     blocks = np.repeat(pts[:, None, :], 129, axis=1).reshape(-1, 16)
     ct = eng.encrypt(blocks, rks.reshape(-1, 17, 16), rounds=rounds)

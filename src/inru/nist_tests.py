@@ -11,7 +11,10 @@ Conventions pinned here because more than one variant circulates:
   first n/2 DFT moduli (DC included) and the corrected variance constant
   n * 0.95 * 0.05 / 4 in the denominator of its normal statistic;
 * the rank test derives its three category probabilities from the exact
-  GF(2) rank distribution formula rather than hardcoding them.
+  GF(2) rank distribution formula rather than hardcoding them;
+* a sequence shorter than a test's minimum length (NIST SP 800-22 Rev. 1a,
+  per test) gets a result with ``applicable=False``, no p-value and a note
+  naming the minimum, never an error.  Invalid parameters still raise.
 """
 
 from __future__ import annotations
@@ -48,6 +51,14 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+def _too_short(test: str, n: int, need: int, **params) -> TestResult:
+    """The result of a test whose minimum length ``need`` exceeds ``n``."""
+    return TestResult(
+        test, (), {"n": n, **params}, applicable=False,
+        note=f"needs at least {need} bits, got {n}",
+    )
+
+
 # -- individual tests ----------------------------------------------------------
 
 
@@ -70,7 +81,8 @@ def block_frequency(seq, block_size: int | None = None) -> TestResult:
     m = default_block_size(n) if block_size is None else block_size
     _require(m >= 2, f"block size {m} too small")
     nblocks = n // m
-    _require(nblocks >= 1, f"sequence of {n} bits shorter than one {m}-bit block")
+    if nblocks < 1:
+        return _too_short("BF", n, m, M=m)
     pi = bits[: nblocks * m].reshape(nblocks, m).mean(axis=1)
     chi2 = 4.0 * m * float(((pi - 0.5) ** 2).sum())
     p = igamc(nblocks / 2.0, chi2 / 2.0)
@@ -80,7 +92,8 @@ def block_frequency(seq, block_size: int | None = None) -> TestResult:
 def runs(seq) -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
-    _require(n >= 2, "runs test needs at least 2 bits")
+    if n < 2:
+        return _too_short("Run", n, 2)
     pi = float(bits.mean())
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return TestResult(
@@ -106,7 +119,8 @@ _LRO_REGIMES = (
 def longest_run_of_ones(seq) -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
-    _require(n >= 128, f"longest-run test needs at least 128 bits, got {n}")
+    if n < 128:
+        return _too_short("LRO", n, 128)
     for min_n, m, k, edges, probs in reversed(_LRO_REGIMES):
         if n >= min_n:
             break
@@ -179,7 +193,8 @@ def serial(seq, pattern_length: int | None = None) -> TestResult:
     n = bits.size
     m = default_serial_length(n) if pattern_length is None else pattern_length
     _require(3 <= m <= 24, f"pattern length {m} out of range")
-    _require(n >= 1 << (m + 2), f"{n} bits too short for serial with m={m}")
+    if n < 1 << (m + 2):
+        return _too_short("Srl", n, 1 << (m + 2), m=m)
     psi_m = _psi_sq(bits, m)
     psi_m1 = _psi_sq(bits, m - 1)
     psi_m2 = _psi_sq(bits, m - 2)
@@ -199,7 +214,8 @@ def approximate_entropy(seq, pattern_length: int | None = None) -> TestResult:
     n = bits.size
     m = default_apen_length(n) if pattern_length is None else pattern_length
     _require(1 <= m <= 20, f"pattern length {m} out of range")
-    _require(n >= 1 << (m + 2), f"{n} bits too short for approximate entropy with m={m}")
+    if n < 1 << (m + 2):
+        return _too_short("AE", n, 1 << (m + 2), m=m)
 
     def phi(mm: int) -> float:
         c = _pattern_counts(bits, mm).astype(np.float64) / n
@@ -215,7 +231,8 @@ def approximate_entropy(seq, pattern_length: int | None = None) -> TestResult:
 def dft_spectral(seq) -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
-    _require(n >= 1000, f"spectral test needs at least 1000 bits, got {n}")
+    if n < 1000:
+        return _too_short("DFT", n, 1000)
     x = 2.0 * bits.astype(np.float64) - 1.0
     moduli = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(n * math.log(1 / 0.05))
@@ -253,10 +270,8 @@ def matrix_rank(seq, rows: int = 32, cols: int = 32) -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
     nmat = n // (rows * cols)
-    _require(
-        nmat >= 38,
-        f"rank test needs at least {38 * rows * cols} bits, got {n}",
-    )
+    if nmat < 38:
+        return _too_short("Rank", n, 38 * rows * cols)
     mats = bits[: nmat * rows * cols].reshape(nmat, rows, cols)
     weights = (1 << np.arange(cols - 1, -1, -1, dtype=np.uint64))
     packed = (mats.astype(np.uint64) * weights).sum(axis=2)

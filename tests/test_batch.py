@@ -3,8 +3,16 @@ import pytest
 import straightline as ora
 
 from inru.batch import BatchCipher, bits_to_blocks, blocks_to_bits
-from inru.cipher import Block, Diversifier, MasterKey, encrypt_block, expand_key
-from inru.quasigroup import Quasigroup
+from inru.cipher import (
+    Block,
+    Diversifier,
+    MasterKey,
+    RoundKeys,
+    encrypt_block,
+    encrypt_int,
+    expand_key,
+)
+from inru.quasigroup import INRU, Quasigroup, conjugate
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +173,97 @@ def test_traced_sbox_outputs_survive_later_rounds(engine, rounds):
     assert len(kept) == rounds
     for a, b in zip(kept, copies):
         assert np.array_equal(a, b)
+
+
+def _block_ints(blocks):
+    """(n, 16) nibble blocks as their ``Block.to_int`` values."""
+    packed = blocks[:, 0::2] << 4 | blocks[:, 1::2]
+    return [int(v) for v in packed.view(">u8")[:, 0]]
+
+
+def _round_keys(rks):
+    return RoundKeys(tuple(Block(tuple(int(v) for v in rk)) for rk in rks))
+
+
+@pytest.fixture(scope="module")
+def second_quasigroup():
+    q = conjugate(INRU, "left")
+    return q, BatchCipher(q)
+
+
+def test_expand_keys_under_a_second_quasigroup(second_quasigroup):
+    q, eng = second_quasigroup
+    rng = np.random.default_rng(40)
+    keys = rng.integers(0, 16, size=(12, 32), dtype=np.uint8)
+    ivs = rng.integers(1, 16, size=(12, 16), dtype=np.uint8)  # nonzero diversifiers
+    rks = eng.expand_keys(keys, ivs)
+    assert not np.array_equal(rks, BatchCipher().expand_keys(keys, ivs))
+    for j in range(12):
+        ref = expand_key(
+            MasterKey(tuple(int(v) for v in keys[j])),
+            Diversifier(tuple(int(v) for v in ivs[j])),
+            q,
+        )
+        assert [list(k.nibbles) for k in ref.keys] == rks[j].tolist()
+
+
+@pytest.fixture(scope="module")
+def second_quasigroup_batches(second_quasigroup):
+    """Per width: blocks, per-block round keys and their RoundKeys under q."""
+    q, eng = second_quasigroup
+    rng = np.random.default_rng(41)
+    batches = {}
+    for width in (1, 2, 63, 1000):
+        blocks = rng.integers(0, 16, size=(width, 16), dtype=np.uint8)
+        rks = eng.expand_keys(rng.integers(0, 16, size=(width, 32), dtype=np.uint8))
+        batches[width] = blocks, rks, [_round_keys(r) for r in rks]
+    return batches
+
+
+@pytest.mark.parametrize("width", [1, 2, 63, 1000])
+@pytest.mark.parametrize("rounds", range(1, 17))
+def test_encrypt_under_a_second_quasigroup(second_quasigroup, second_quasigroup_batches, width, rounds):
+    q, eng = second_quasigroup
+    blocks, rks, round_keys = second_quasigroup_batches[width]
+    xs = _block_ints(blocks)
+    shared = _block_ints(eng.encrypt(blocks, rks[0], rounds))
+    assert shared == [encrypt_int(x, round_keys[0], rounds, q) for x in xs]
+    per_block = _block_ints(eng.encrypt(blocks, rks, rounds))
+    assert per_block == [encrypt_int(x, r, rounds, q) for x, r in zip(xs, round_keys)]
+
+
+@pytest.mark.parametrize("width, shared", [(1, False), (7, False), (7, True), (1000, False)])
+def test_trace_rounds_matches_oracle(engine, width, shared):
+    rng = np.random.default_rng(50 + width)
+    blocks = rng.integers(0, 16, size=(width, 16), dtype=np.uint8)
+    rks = rng.integers(0, 16, size=(17, 16) if shared else (width, 17, 16), dtype=np.uint8)
+    states = [list(m) for m in blocks.tolist()]
+    steps = engine.trace_rounds(blocks, rks, 16)
+    while True:
+        try:
+            i, after_kxor, after_sbox, after_diffusion = next(steps)
+        except StopIteration as done:
+            final = done.value
+            break
+        for j in range(width):
+            k = (rks if shared else rks[j])[i - 1].tolist()
+            c = ora.ora_kxor(k, states[j])
+            assert after_kxor[:, j].tolist() == c
+            if i & 1:
+                c = ora.ora_e_left(k[0], c)
+                assert after_sbox[:, j].tolist() == c
+                c = ora.ora_diffuse_right(c)
+            else:
+                c = ora.ora_e_right(k[15], c)
+                assert after_sbox[:, j].tolist() == c
+                if i != 16:
+                    c = ora.ora_diffuse_left(c)
+            if i == 16:
+                assert after_diffusion is None
+            else:
+                assert after_diffusion[:, j].tolist() == c
+            states[j] = c
+    assert i == 16
+    assert final.T.tolist() == states
+    whitened = [ora.ora_kxor((rks if shared else rks[j])[16].tolist(), c) for j, c in enumerate(states)]
+    assert engine.encrypt(blocks, rks).tolist() == whitened

@@ -65,6 +65,27 @@ def test_report_aggregation_and_rendering():
         report.record("XX")
 
 
+def test_not_applicable_results_stay_out_of_the_aggregates():
+    rng = np.random.default_rng(4)
+    long, short = (rng.integers(0, 2, n, dtype=np.uint8) for n in (1 << 16, 1 << 14))
+    report = run_battery([long, short])
+    rank = report.record("Rank")
+    assert [r.applicable for r in rank.results] == [True, False]
+    assert rank.applicable_count() == 1
+    assert rank.mean_p() == rank.results[0].p_values[0]
+    assert report.pass_proportion("Rank") == rank.pass_count()
+    note = "not applicable to 1 of 2: needs at least 38912 bits, got 16384"
+    assert rank.inapplicable_note() == note
+    assert f"{rank.pass_count()}/1  matrices=64, {note}" in report.render_table()
+    assert report.record("Freq").inapplicable_note() == ""
+
+    only_short = run_battery([short])
+    rank = only_short.record("Rank")
+    assert np.isnan(rank.mean_p()) and np.isnan(only_short.pass_proportion("Rank"))
+    assert "-,-,Rank,n/a,0/0\n" in only_short.machine_lines()
+    assert "   n/a     0/0  not applicable to 1 of 1" in only_short.render_table()
+
+
 def test_nist_experiment_smoke_single_key():
     report = nist_experiment("ctr", keys=1, bits_per_seq=1 << 16, seed=3)
     assert report.n_sequences == 1

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -249,6 +250,18 @@ def test_analyze_nist_seeded_identical_and_fast(tmp_path):
     assert run_cli(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "ctr,zeros," in a.read_text()
+
+
+def test_analyze_nist_reports_a_test_too_long_for_the_sequence(capsys):
+    # 16384 bits hold 16 of the 38 matrices the rank test needs.
+    assert run_cli("analyze", "nist", "--mode", "ctr", "--keys", "1", "--bits", "16384") == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert len(rows) == 10
+    rank = next(row for row in rows if row.startswith("Rank "))
+    assert rank.endswith(" n/a     0/0  not applicable to 1 of 1: needs at least 38912 bits, got 16384")
+    for row in rows:
+        if row is not rank:
+            assert re.search(r" \d\.\d{4}     [01]/1  ", row), row
 
 
 def test_console_entry_point():

@@ -175,15 +175,21 @@ def test_matrix_rank_p_value_sane():
 
 
 def test_minimum_length_requirements():
-    short = np.ones(64, np.uint8)
-    with pytest.raises(ValueError):
-        longest_run_of_ones(short)
-    with pytest.raises(ValueError):
-        matrix_rank(np.ones(1024, np.uint8))
-    with pytest.raises(ValueError):
-        dft_spectral(np.ones(128, np.uint8))
-    with pytest.raises(ValueError):
-        serial(np.ones(16, np.uint8), pattern_length=3)
+    # Below a test's minimum length the result is not applicable, not an error.
+    too_short = [
+        (longest_run_of_ones(np.ones(64, np.uint8)), "LRO", 128),
+        (matrix_rank(np.ones(1024, np.uint8)), "Rank", 38 * 1024),
+        (matrix_rank(np.ones(38 * 1024 - 1, np.uint8)), "Rank", 38 * 1024),
+        (dft_spectral(np.ones(128, np.uint8)), "DFT", 1000),
+        (serial(np.ones(16, np.uint8), pattern_length=3), "Srl", 32),
+        (approximate_entropy(np.ones(31, np.uint8), pattern_length=3), "AE", 32),
+        (block_frequency(np.ones(19, np.uint8)), "BF", 20),
+        (runs(np.ones(1, np.uint8)), "Run", 2),
+    ]
+    for res, test, need in too_short:
+        assert res.test == test
+        assert not res.applicable and not res.passed() and res.p_values == ()
+        assert res.note == f"needs at least {need} bits, got {res.params['n']}"
     with pytest.raises(ValueError):
         frequency(np.array([], np.uint8))
 
