@@ -9,11 +9,13 @@ Encryption and the key schedule run on byte rows.  A chain is a 16-state
 transducer, so one lookup in a byte-wide table per byte row advances it by
 two nibbles, the table-driven technique of Sarwate ("Computation of
 cyclic redundancy checks via table look-up", CACM 1988).  Each row step
-is at most one mask, one ``|`` and one ``take``.  :func:`tables` builds
+is at most one mask, one ``|`` and one ``take``.
+:meth:`BatchCipher.encrypt_bytes` takes and returns byte blocks, and
+:meth:`BatchCipher.encrypt` is its nibble view.  :func:`tables` builds
 the tables once per quasigroup:
 
 * three round tables that fuse a round's chain with its diffusion scan,
-  which the scalar engine :func:`inru.cipher.encrypt_int` walks too, so
+  which the scalar engine :func:`inru.cipher.int_encryptor` walks too, so
   both engines get the round from one definition;
 * a left and a right chain table for the key schedule.
 
@@ -303,18 +305,16 @@ class BatchCipher:
             return kb[:, :, None]
         return np.ascontiguousarray(kb.transpose(1, 2, 0))
 
-    def _rounds(self, blocks, kb, rounds):
+    def _rounds(self, state, kb, rounds):
         """The round loop on (8, n) byte rows, yielding (round, after_kxor, output).
 
         Each round walks its table over the byte rows in chain order and
-        ends with the conditional complement.  Every yielded array is fresh
-        and never modified later.
+        ends with the conditional complement.  ``state`` is only read;
+        every yielded array is fresh and never modified later.
         """
         if not 1 <= rounds <= NUM_ROUNDS:
             raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
         t = self.tables
-        blocks = np.asarray(blocks, dtype=np.uint8)
-        state = _byte_rows(blocks.T.copy())
         idx = np.empty(state.shape[1], dtype=np.uint16)
         for i in range(1, rounds + 1):
             k = kb[i - 1]
@@ -345,7 +345,8 @@ class BatchCipher:
         ``rounds`` applies to, as :meth:`encrypt` does.  ``rks`` is (17, 16)
         or (n, 17, 16).
         """
-        for i, x, out in self._rounds(blocks, self._round_key_rows(rks), rounds):
+        rows = _byte_rows(np.asarray(blocks, dtype=np.uint8).T)
+        for i, x, out in self._rounds(rows, self._round_key_rows(rks), rounds):
             state = _nibble_rows(out)
             if i == 16:
                 yield i, _nibble_rows(x), state, None
@@ -354,13 +355,27 @@ class BatchCipher:
                 yield i, _nibble_rows(x), undiffuse(state), state
         return state
 
-    def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
+    def encrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        """Encrypt (n, 8) byte blocks (``Block.to_bytes``); ``rks`` is (17, 16) or (n, 17, 16).
+
+        Returns the (n, 8) ciphertext bytes as a transposed view of fresh
+        memory.
+        """
+        blocks = np.asarray(blocks, dtype=np.uint8)
+        if blocks.ndim != 2 or blocks.shape[1] != 8:
+            raise ValueError("blocks must have shape (n, 8)")
         kb = self._round_key_rows(rks)
         # Keep only the last round's arrays while draining the loop.
-        _, _, state = deque(self._rounds(blocks, kb, rounds), maxlen=1)[0]
+        rows = np.ascontiguousarray(blocks.T)
+        _, _, state = deque(self._rounds(rows, kb, rounds), maxlen=1)[0]
         state ^= kb[rounds]
-        return _nibble_rows(state).T.copy()
+        return state.T
+
+    def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
+        rows = _byte_rows(np.asarray(blocks, dtype=np.uint8).T)  # (8, n)
+        out = self.encrypt_bytes(rows.T, rks, rounds)  # (n, 8)
+        return _nibble_rows(out.T).T.copy()
 
     def decrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
         if not 1 <= rounds <= NUM_ROUNDS:

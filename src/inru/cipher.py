@@ -15,12 +15,15 @@ so they keep the diffusion step in their final round; only the literal
 round 16 drops it.  Decryption of a reduced variant inverts the rounds it
 actually ran.
 
-The scalar encryption engine (:func:`encrypt_int`) holds the block as its
-64-bit integer (the ``Block.to_int`` convention) and runs each round as one
-walk over the state's 8 bytes through the round tables of
+The scalar encryption engine (:func:`int_encryptor`) holds the block as
+its 64-bit integer (the ``Block.to_int`` convention) and runs each round
+as one walk over the state's 8 bytes through the round tables of
 :func:`inru.batch.tables`, which fuse the confusion chain with the
-diffusion scan; the batch engine walks the same tables.  The key schedule
-here runs on :meth:`Quasigroup.apply_chain`.
+diffusion scan; the batch engine walks the same tables.  It binds the
+round plan of one key schedule once and returns the block function, so a
+chained mode pays for the plan once per message; :func:`encrypt_int` and
+:func:`encrypt_block` are one-block views over it.  The key schedule here
+runs on :meth:`Quasigroup.apply_chain`.
 
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
@@ -32,9 +35,10 @@ keys and round keys can be shared freely across threads.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -261,30 +265,70 @@ def _round_table_lists(q: Quasigroup) -> tuple[list[int], list[int], list[int]]:
     return t.odd.tolist(), t.even.tolist(), t.last.tolist()
 
 
-def encrypt_int(
-    x: int, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
-) -> int:
-    """:func:`encrypt_block` on the block's 64-bit integer ``x`` (``Block.to_int``)."""
+def int_encryptor(
+    rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
+) -> Callable[[int], int]:
+    """:func:`encrypt_int` under fixed round keys, as a function of the block alone.
+
+    The per-round plan (round key, round table, leader walk state, walk
+    direction) is bound once.  A round unpacks the keyed state into its
+    eight bytes, walks them in the round's direction with the eight table
+    steps written out, and packs the eight walk states back in position
+    order: each state's low byte is its output byte.
+    """
     if not 1 <= rounds <= NUM_ROUNDS:
         raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
     odd, even, last = _round_table_lists(q)
     keys = rk.ints
+    plan = []
     for i in range(1, rounds + 1):
         k = keys[i - 1]
         if i & 1:  # leader: first nibble of the odd round's key
-            table, order, e = odd, "big", (k >> 60) << 9
+            plan.append((k, odd, (k >> 60) << 9, True))
         else:  # leader: last nibble of the even round's key
             # Only the literal 16th round drops its diffusion step.
-            table = even if i != 16 else last
-            order, e = "little", (k & 15) << 9
-        out = []
-        for b in (x ^ k).to_bytes(8, order):
-            e = table[(e & 0x1F00) | b]
-            out.append(e & 0xFF)
-        x = int.from_bytes(bytes(out), order)
-        if e & 0x100:
-            x ^= _ALL_ONES
-    return x ^ keys[rounds]
+            plan.append((k, even if i != 16 else last, (k & 15) << 9, False))
+    plan = tuple(plan)
+    whitening = keys[rounds]
+    pack = struct.Struct("<8H").pack
+    from_bytes = int.from_bytes
+
+    def encrypt(x: int) -> int:
+        for k, t, e, forward in plan:
+            b0, b1, b2, b3, b4, b5, b6, b7 = (x ^ k).to_bytes(8, "big")
+            if forward:
+                e0 = t[e | b0]
+                e1 = t[e0 & 0x1F00 | b1]
+                e2 = t[e1 & 0x1F00 | b2]
+                e3 = t[e2 & 0x1F00 | b3]
+                e4 = t[e3 & 0x1F00 | b4]
+                e5 = t[e4 & 0x1F00 | b5]
+                e6 = t[e5 & 0x1F00 | b6]
+                e7 = t[e6 & 0x1F00 | b7]
+                e = e7
+            else:
+                e7 = t[e | b7]
+                e6 = t[e7 & 0x1F00 | b6]
+                e5 = t[e6 & 0x1F00 | b5]
+                e4 = t[e5 & 0x1F00 | b4]
+                e3 = t[e4 & 0x1F00 | b3]
+                e2 = t[e3 & 0x1F00 | b2]
+                e1 = t[e2 & 0x1F00 | b1]
+                e0 = t[e1 & 0x1F00 | b0]
+                e = e0
+            x = from_bytes(pack(e0, e1, e2, e3, e4, e5, e6, e7)[::2], "big")
+            if e & 0x100:  # the round's parity: complement every bit
+                x ^= _ALL_ONES
+        return x ^ whitening
+
+    return encrypt
+
+
+def encrypt_int(
+    x: int, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
+) -> int:
+    """:func:`encrypt_block` on the block's 64-bit integer ``x`` (``Block.to_int``)."""
+    return int_encryptor(rk, rounds, q)(x)
 
 
 def encrypt_block(

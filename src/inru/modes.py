@@ -20,7 +20,7 @@ import numpy as np
 
 from .batch import BatchCipher
 # encrypt_block is re-exported: ``inru.modes.encrypt_block`` stays importable.
-from .cipher import RoundKeys, encrypt_block, encrypt_int  # noqa: F401
+from .cipher import RoundKeys, encrypt_block, int_encryptor  # noqa: F401
 
 MODES = ("cbc", "cfb", "ofb", "ctr")
 BLOCK_BYTES = 8
@@ -70,7 +70,8 @@ def pkcs7_unpad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
 
 
 # Block values travel as 64-bit big-endian integers (``Block.to_int``) in
-# the sequential modes and as (n, 16) nibble arrays in the batch engine.
+# the sequential modes, and in the batch engine as (n, 8) byte arrays
+# (encryption) or (n, 16) nibble arrays (decryption).
 
 
 def _block_ints(data: bytes) -> list[int]:
@@ -104,12 +105,12 @@ def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
     counters = np.empty((nblocks, 2), dtype=">u4")
     counters[:, 0] = cfg.nonce
     counters[:, 1] = np.arange(nblocks, dtype=np.uint32)
-    blocks = _to_nibbles(counters.tobytes())
-    return _from_nibbles(BatchCipher().encrypt(blocks, rk.to_array()))
+    return BatchCipher().encrypt_bytes(counters.view(np.uint8), rk.to_array()).tobytes()
 
 
 def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
     """Encrypt a byte message under the configured mode."""
+    encrypt = int_encryptor(rk)  # the chained modes' block function
     if cfg.mode == "cbc":
         if cfg.padding == "pkcs7":
             msg = pkcs7_pad(msg)
@@ -118,7 +119,7 @@ def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
         chain = cfg.mode_iv
         out = []
         for p in _block_ints(msg):
-            chain = encrypt_int(p ^ chain, rk)
+            chain = encrypt(p ^ chain)
             out.append(chain)
         return _ints_to_bytes(out)
 
@@ -126,11 +127,11 @@ def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
         chain = cfg.mode_iv
         out = []
         for p in _block_ints(msg):
-            chain = p ^ encrypt_int(chain, rk)
+            chain = p ^ encrypt(chain)
             out.append(chain)
         tail = msg[len(out) * BLOCK_BYTES :]
         if tail:
-            tail = _xor_bytes(tail, encrypt_int(chain, rk).to_bytes(BLOCK_BYTES, "big"))
+            tail = _xor_bytes(tail, encrypt(chain).to_bytes(BLOCK_BYTES, "big"))
         return _ints_to_bytes(out) + tail
 
     nblocks = (len(msg) + 7) // BLOCK_BYTES
@@ -138,7 +139,7 @@ def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
         feedback = cfg.mode_iv
         ks = []
         for _ in range(nblocks):
-            feedback = encrypt_int(feedback, rk)
+            feedback = encrypt(feedback)
             ks.append(feedback)
         return _xor_bytes(msg, _ints_to_bytes(ks))
 
@@ -165,8 +166,9 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
 
     if cfg.mode == "cfb":
         nblocks = (len(ct) + 7) // BLOCK_BYTES
-        prev = _to_nibbles((iv + ct)[: nblocks * BLOCK_BYTES])
-        return _xor_bytes(ct, _from_nibbles(BatchCipher().encrypt(prev, rk.to_array())))
+        prev = np.frombuffer(iv + ct, dtype=np.uint8, count=nblocks * BLOCK_BYTES)
+        stream = BatchCipher().encrypt_bytes(prev.reshape(nblocks, BLOCK_BYTES), rk.to_array())
+        return _xor_bytes(ct, stream.tobytes())
 
     # OFB and CTR are their own inverses.
     return mode_encrypt(cfg, rk, ct)

@@ -15,6 +15,27 @@ Conventions pinned here because more than one variant circulates:
 * a sequence shorter than a test's minimum length (NIST SP 800-22 Rev. 1a,
   per test) gets a result with ``applicable=False``, no p-value and a note
   naming the minimum, never an error.  Invalid parameters still raise.
+
+Every test runs as a few whole-array numpy passes; none loops in Python
+over bits, windows or matrices:
+
+* Serial and approximate entropy count m-bit windows of the circularly
+  extended sequence from its packed bytes (:func:`_pattern_counts`): one
+  big-endian 32-bit word per byte offset, then 8 shift-and-mask passes,
+  one per bit offset inside the byte.  Each test counts once, at its
+  longest length, and folds the counts down.  Every position's
+  (m-1)-bit window is the prefix of its m-bit window, so
+  c_(m-1)[v] = c_m[2v] + c_m[2v+1] holds exactly (:func:`_fold`).
+* Rank eliminates over GF(2) on all matrices at once, one step per
+  column on a (matrices, rows) array of 64-bit row words
+  (:func:`_gf2_ranks`); :func:`gf2_rank` is the one-matrix reference.
+* The cumulative sums tests take the random walk S_0 = 0, S_1, ..., S_n
+  from one ``int32`` cumsum.  Forward, z = max(max S, -min S); backward,
+  the partial sums from the end are S_n - S_k for k < n, so z needs no
+  reversed copy.
+
+These kernels give the same counts, and so bit-identical p-values, as the
+direct loops they replaced; the tests hold each to such a loop.
 """
 
 from __future__ import annotations
@@ -149,10 +170,17 @@ def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
     _require(direction in ("forward", "backward"), f"bad direction {direction!r}")
-    x = (2 * bits.astype(np.int64) - 1)
-    if direction == "backward":
-        x = x[::-1]
-    z = int(np.abs(np.cumsum(x)).max())
+    # s[k] = S_k, the sum of the first k steps 2 * bit - 1, with S_0 = 0
+    s = np.empty(n + 1, dtype=np.int32)
+    s[0] = 0
+    steps = bits.view(np.int8) * np.int8(2)
+    steps -= 1
+    np.cumsum(steps, dtype=np.int32, out=s[1:])
+    if direction == "forward":
+        z = max(int(s.max()), -int(s.min()))
+    else:  # the backward sums are S_n - S_k for k = n-1, ..., 0
+        head, s_n = s[:-1], int(s[-1])
+        z = max(s_n - int(head.min()), int(head.max()) - s_n)
     if z == 0:
         return TestResult("CSF" if direction == "forward" else "CSB", (0.0,), {"n": n})
     sqn = math.sqrt(n)
@@ -165,22 +193,46 @@ def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     return TestResult("CSF" if direction == "forward" else "CSB", (p,), {"n": n, "z": z})
 
 
+# Longest pattern _pattern_counts can read from one 32-bit word at any bit offset.
+_MAX_WINDOW = 25
+
+
 def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of all overlapping m-bit patterns of the circularly extended sequence."""
+    """Counts of all overlapping m-bit patterns of the circularly extended sequence.
+
+    Entry v counts the positions whose m-bit window, read msb first, is v.
+    The windows come from the packed bytes: word i is the big-endian 32-bit
+    word at byte offset i, and the window at bit 8i + r is that word shifted
+    right by 32 - r - m and masked, for r = 0..7.
+    """
+    _require(1 <= m <= _MAX_WINDOW, f"pattern length {m} out of range")
     n = bits.size
-    ext = np.concatenate([bits, bits[: m - 1]]) if m > 1 else bits
-    vals = np.zeros(n, dtype=np.uint32)
-    for k in range(m):
-        vals = (vals << np.uint32(1)) | ext[k : k + n]
-    return np.bincount(vals, minlength=1 << m)
+    nbytes = (n + m + 6) // 8
+    packed = np.zeros(nbytes + 3, dtype=np.uint8)
+    packed[:nbytes] = np.packbits(np.resize(bits, n + m - 1))
+    words = np.ndarray((nbytes,), ">u4", packed, strides=(1,)).astype(np.uint32)
+    windows = np.empty(n, dtype=np.uint32)
+    start = 0
+    for r in range(8):
+        out = windows[start : start + (n - r + 7) // 8]
+        np.right_shift(words[: out.size], 32 - r - m, out=out)
+        out &= np.uint32((1 << m) - 1)
+        start += out.size
+    return np.bincount(windows, minlength=1 << m)
 
 
-def _psi_sq(bits: np.ndarray, m: int) -> float:
-    if m == 0:
-        return 0.0
-    n = bits.size
-    c = _pattern_counts(bits, m).astype(np.float64)
-    return float((1 << m) / n * (c * c).sum() - n)
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """The (m-1)-bit pattern counts from the m-bit ones: c[v] = c[2v] + c[2v+1].
+
+    Exact under the circular extension: every position's (m-1)-bit window
+    is the prefix of its m-bit window.
+    """
+    return counts[0::2] + counts[1::2]
+
+
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    c = counts.astype(np.float64)
+    return float(c.size / n * (c * c).sum() - n)
 
 
 def default_serial_length(n: int) -> int:
@@ -195,9 +247,11 @@ def serial(seq, pattern_length: int | None = None) -> TestResult:
     _require(3 <= m <= 24, f"pattern length {m} out of range")
     if n < 1 << (m + 2):
         return _too_short("Srl", n, 1 << (m + 2), m=m)
-    psi_m = _psi_sq(bits, m)
-    psi_m1 = _psi_sq(bits, m - 1)
-    psi_m2 = _psi_sq(bits, m - 2)
+    counts = _pattern_counts(bits, m)
+    psi_m = _psi_sq(counts, n)
+    counts = _fold(counts)
+    psi_m1 = _psi_sq(counts, n)
+    psi_m2 = _psi_sq(_fold(counts), n)
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = igamc(2 ** (m - 2), d1 / 2.0)
@@ -217,12 +271,13 @@ def approximate_entropy(seq, pattern_length: int | None = None) -> TestResult:
     if n < 1 << (m + 2):
         return _too_short("AE", n, 1 << (m + 2), m=m)
 
-    def phi(mm: int) -> float:
-        c = _pattern_counts(bits, mm).astype(np.float64) / n
+    def phi(counts: np.ndarray) -> float:
+        c = counts.astype(np.float64) / n
         nz = c[c > 0]
         return float((nz * np.log(nz)).sum())
 
-    apen = phi(m) - phi(m + 1)
+    counts = _pattern_counts(bits, m + 1)
+    apen = phi(_fold(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2 ** (m - 1), chi2 / 2.0)
     return TestResult("AE", (p,), {"n": n, "m": m})
@@ -244,7 +299,11 @@ def dft_spectral(seq) -> TestResult:
 
 
 def gf2_rank(rows: list[int], ncols: int) -> int:
-    """Rank of a binary matrix whose rows are packed into integers."""
+    """Rank of a binary matrix whose rows are packed into integers.
+
+    The one-matrix reference that the tests hold the batched kernel of
+    :func:`matrix_rank` to.
+    """
     basis: dict[int, int] = {}  # leading bit -> reduced row
     for row in rows:
         while row:
@@ -266,24 +325,43 @@ def _rank_probability(m: int, q: int, r: int) -> float:
     return (2.0**log2p) * prod
 
 
+def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
+    """GF(2) ranks of a stack of 0/1 matrices with at most 64 columns, all at once.
+
+    Each row is packed msb first into one 64-bit word.  Column by column,
+    every matrix picks as pivot its first row holding that column's bit and
+    xors the pivot into every row holding the bit, the pivot included: the
+    column is cleared and the pivot row, now zero, drops out.  The rank is
+    the number of columns that found a pivot (SP 800-22 Appendix F.1 by
+    elimination over the whole stack).
+    """
+    nmat, nrows, ncols = mats.shape
+    words = np.zeros((nmat, nrows, 8), dtype=np.uint8)
+    words[:, :, : (ncols + 7) // 8] = np.packbits(mats, axis=2)
+    w = words.view(">u8")[:, :, 0].astype(np.uint64)
+    pick = np.arange(nmat)
+    ranks = np.zeros(nmat, dtype=np.int64)
+    for b in range(63, 63 - ncols, -1):
+        holds = (w & np.uint64(1 << b)) != 0
+        pivot = w[pick, holds.argmax(axis=1)]
+        w ^= holds * pivot[:, None]
+        ranks += holds.any(axis=1)
+    return ranks
+
+
 def matrix_rank(seq, rows: int = 32, cols: int = 32) -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
+    _require(1 <= cols <= 64, f"Rank packs a matrix row into 64 bits; cols {cols} not in 1..64")
+    # Full rank means rank == rows, which needs rows <= cols.
+    _require(1 <= rows <= cols, f"Rank needs 1 <= rows <= cols, got rows {rows}, cols {cols}")
     nmat = n // (rows * cols)
     if nmat < 38:
         return _too_short("Rank", n, 38 * rows * cols)
-    mats = bits[: nmat * rows * cols].reshape(nmat, rows, cols)
-    weights = (1 << np.arange(cols - 1, -1, -1, dtype=np.uint64))
-    packed = (mats.astype(np.uint64) * weights).sum(axis=2)
-    full, fm1, lower = 0, 0, 0
-    for j in range(nmat):
-        r = gf2_rank([int(v) for v in packed[j]], cols)
-        if r == rows:
-            full += 1
-        elif r == rows - 1:
-            fm1 += 1
-        else:
-            lower += 1
+    ranks = _gf2_ranks(bits[: nmat * rows * cols].reshape(nmat, rows, cols))
+    full = int((ranks == rows).sum())
+    fm1 = int((ranks == rows - 1).sum())
+    lower = nmat - full - fm1
     p_full = _rank_probability(rows, cols, rows)
     p_fm1 = _rank_probability(rows, cols, rows - 1)
     p_low = 1.0 - p_full - p_fm1

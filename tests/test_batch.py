@@ -267,3 +267,22 @@ def test_trace_rounds_matches_oracle(engine, width, shared):
     assert final.T.tolist() == states
     whitened = [ora.ora_kxor((rks if shared else rks[j])[16].tolist(), c) for j, c in enumerate(states)]
     assert engine.encrypt(blocks, rks).tolist() == whitened
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_encrypt_bytes_is_encrypt_on_packed_bytes(engine, shared):
+    rng = np.random.default_rng(60)
+    blocks = rng.integers(0, 16, size=(257, 16), dtype=np.uint8)
+    rks = rng.integers(0, 16, size=(17, 16) if shared else (257, 17, 16), dtype=np.uint8)
+    packed = blocks[:, 0::2] << 4 | blocks[:, 1::2]
+    for rounds in (1, 2, 15, 16):
+        got = engine.encrypt_bytes(packed, rks, rounds)
+        want = engine.encrypt(blocks, rks, rounds)
+        assert got.shape == (257, 8)
+        assert np.array_equal(got, want[:, 0::2] << 4 | want[:, 1::2])
+    assert np.array_equal(packed, blocks[:, 0::2] << 4 | blocks[:, 1::2])  # input untouched
+
+
+def test_encrypt_bytes_rejects_nibble_blocks(engine):
+    with pytest.raises(ValueError):
+        engine.encrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 16), dtype=np.uint8))

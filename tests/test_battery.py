@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,19 @@ def test_ks_helpers():
         ks_critical_value(100, 0.02)
     # a blatantly non-uniform sample trips the statistic
     assert ks_uniformity_statistic(np.full(200, 0.4)) > 0.3
+
+
+FROZEN = Path(__file__).parent / "data" / "battery_frozen.txt"
+
+
+def test_seeded_battery_reproduces_frozen_output():
+    # One scalar (CBC) and one batch (CTR) stream at the published length:
+    # machine lines and every p-value must stay bit for bit the same.
+    want = [line for line in FROZEN.read_text().splitlines() if not line.startswith("#")]
+    got = []
+    for mode, fill in (("cbc", "ones"), ("ctr", "zeros")):
+        rep = nist_experiment(mode, input_fill=fill, keys=2, bits_per_seq=1 << 20, seed=11)
+        got += rep.machine_lines().splitlines()
+        got += [f"p-values {mode},{fill},{r.test}: " + " ".join(map(repr, r.p_values()))
+                for r in rep.records]
+    assert got == want

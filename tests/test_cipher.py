@@ -19,6 +19,7 @@ from inru.cipher import (
     encrypt_block_traced,
     encrypt_int,
     expand_key,
+    int_encryptor,
     key_mixing,
     kxor,
     mixing_string,
@@ -240,6 +241,19 @@ def test_int_engine_matches_oracle_and_batch_engine(rounds, rng):
         assert ora.ora_encrypt(list(m.nibbles), ora_rks, rounds) == want
         assert encrypt_int(m.to_int(), r, rounds) == Block(tuple(want)).to_int()
         assert encrypt_block(m, r, rounds) == Block(tuple(want))
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 15, 16])
+def test_bound_walk_is_reusable_across_blocks(rounds, rng):
+    # One walk bound to a key schedule serves a whole stream; it keeps no
+    # state between blocks, so it agrees with the batch engine on every one.
+    rks = expand_key(random_key(rng), random_iv(rng))
+    blocks = [random_block(rng) for _ in range(64)]
+    walk = int_encryptor(rks, rounds)
+    batch = BatchCipher().encrypt(np.array([m.nibbles for m in blocks]), rks.to_array(), rounds)
+    assert [walk(m.to_int()) for m in blocks] == [Block(tuple(row)).to_int() for row in batch.tolist()]
+    with pytest.raises(ValueError):
+        int_encryptor(rks, 0)
 
 
 @pytest.mark.parametrize("rounds", range(1, 17))

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from inru.nist_tests import (
+    _MAX_WINDOW,
     ALL_TESTS,
+    _fold,
+    _gf2_ranks,
+    _pattern_counts,
     approximate_entropy,
     block_frequency,
     cumulative_sums,
@@ -202,3 +206,120 @@ def test_invalid_block_sizes():
         serial(bits, pattern_length=1)
     with pytest.raises(ValueError):
         approximate_entropy(bits, pattern_length=0)
+
+
+# -- kernels against their references -------------------------------------------
+
+
+def _shift_or_counts(bits, m):
+    """Reference pattern counter: m shift-or passes over the circular extension."""
+    n = bits.size
+    ext = np.resize(bits, n + m - 1).astype(np.uint64)
+    vals = np.zeros(n, dtype=np.uint64)
+    for k in range(m):
+        vals = (vals << np.uint64(1)) | ext[k : k + n]
+    return vals
+
+
+def _nonzero_counts(counts):
+    idx = np.flatnonzero(counts)
+    return dict(zip(idx.tolist(), counts[idx].tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 23, 31, 32, 33, 100, 1001, 4099])
+def test_pattern_counts_match_shift_or_counter(n):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    for m in range(1, 17):
+        want = np.bincount(_shift_or_counts(bits, m), minlength=1 << m)
+        assert np.array_equal(_pattern_counts(bits, m), want), m
+
+
+def test_pattern_counts_at_the_longest_windows():
+    # Srl allows m up to 24; AE counts at m + 1 <= 21.
+    rng = np.random.default_rng(12)
+    for n in (3, 30, 509):
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        for m in (20, 21, 24):
+            counts = _pattern_counts(bits, m)
+            assert counts.size == 1 << m and counts.sum() == n
+            vals, freq = np.unique(_shift_or_counts(bits, m), return_counts=True)
+            assert _nonzero_counts(counts) == dict(zip(vals.tolist(), freq.tolist()))
+    assert _MAX_WINDOW >= 24
+    with pytest.raises(ValueError):
+        _pattern_counts(bits, _MAX_WINDOW + 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 100, 4096, 4099])
+def test_fold_equals_a_direct_count(n):
+    bits = np.random.default_rng(n + 1).integers(0, 2, n, dtype=np.uint8)
+    for m in range(2, 17):
+        assert np.array_equal(_fold(_pattern_counts(bits, m)), _pattern_counts(bits, m - 1)), m
+
+
+def _packed_rows(mat):
+    return [int("".join(map(str, row)), 2) for row in mat.tolist()]
+
+
+def _matrix_of_rank(rng, rows, cols, rank):
+    """A random 0/1 matrix of exactly ``rank``: rank independent rows, the rest their sums."""
+    while True:
+        basis = rng.integers(0, 2, (rank, cols), dtype=np.uint8)
+        if gf2_rank(_packed_rows(basis), cols) == rank:
+            break
+    mix = rng.integers(0, 2, (rows - rank, rank), dtype=np.uint8)
+    mat = np.concatenate([basis, (mix.astype(np.int64) @ basis) % 2]).astype(np.uint8)
+    return mat[rng.permutation(rows)]
+
+
+def test_batched_rank_matches_gf2_rank_on_random_matrices():
+    rng = np.random.default_rng(13)
+    for rows, cols, count in ((32, 32, 300), (8, 8, 200), (3, 5, 50), (16, 40, 50), (6, 64, 50)):
+        mats = rng.integers(0, 2, (count, rows, cols), dtype=np.uint8)
+        want = [gf2_rank(_packed_rows(m), cols) for m in mats]
+        assert _gf2_ranks(mats).tolist() == want
+
+
+def test_batched_rank_on_constructed_ranks():
+    rng = np.random.default_rng(14)
+    ranks = [32, 31, 30, 29, 20, 5, 1, 0] * 3
+    mats = np.stack([_matrix_of_rank(rng, 32, 32, r) for r in ranks])
+    assert [gf2_rank(_packed_rows(m), 32) for m in mats] == ranks
+    assert _gf2_ranks(mats).tolist() == ranks
+
+
+def test_matrix_rank_sizes():
+    rng = np.random.default_rng(15)
+    assert matrix_rank(rng.integers(0, 2, 40 * 16 * 64, dtype=np.uint8), 16, 64).params["matrices"] == 40
+    with pytest.raises(ValueError, match="64"):
+        matrix_rank(np.ones(40 * 8 * 65, np.uint8), 8, 65)
+    with pytest.raises(ValueError):
+        matrix_rank(np.ones(4096, np.uint8), 0, 32)
+    with pytest.raises(ValueError, match="rows <= cols"):
+        matrix_rank(np.ones(40 * 40 * 16, np.uint8), 40, 16)
+
+
+def _int64_excursion(bits, direction):
+    """The maximal partial-sum excursion z, by the plain int64 formula."""
+    x = 2 * bits.astype(np.int64) - 1
+    if direction == "backward":
+        x = x[::-1]
+    return int(np.abs(np.cumsum(x)).max())
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_cumulative_sums_excursion_matches_int64_formula(direction):
+    rng = np.random.default_rng(16)
+    seqs = [
+        np.zeros(1, np.uint8),
+        np.ones(1, np.uint8),
+        np.zeros(1000, np.uint8),
+        np.ones(1001, np.uint8),
+        np.tile([0, 1], 500).astype(np.uint8),
+        np.tile([1, 0], 501).astype(np.uint8)[:-1],
+        rng.integers(0, 2, 12345, dtype=np.uint8),
+        (rng.random(1 << 16) < 0.52).astype(np.uint8),
+    ]
+    for bits in seqs:
+        res = cumulative_sums(bits, direction)
+        assert res.params["z"] == _int64_excursion(bits, direction), bits.size
