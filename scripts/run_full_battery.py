@@ -5,8 +5,8 @@ Runs the ten tests over CBC, CFB, OFB and CTR keystreams for both the
 all-zeros and all-ones constant plaintext, printing one table per
 mode/input combination plus the machine-readable summary lines, whose
 last column is ``passed/applicable``: the sequences that passed a test
-over those it applies to.  A single-job run took 4 min 15 s on a 2-core
-Intel Xeon VM (Python 3.11, numpy 2.4), about 40 s per CBC/CFB/OFB table
+over those it applies to.  A single-job run took 2 min 51 s on a 2-core
+Intel Xeon VM (Python 3.11, numpy 2.4), 23-29 s per CBC/CFB/OFB table
 and 7 s per CTR table; use --jobs to parallelize across keys.
 """
 

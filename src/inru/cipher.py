@@ -15,15 +15,18 @@ so they keep the diffusion step in their final round; only the literal
 round 16 drops it.  Decryption of a reduced variant inverts the rounds it
 actually ran.
 
-The scalar encryption engine (:func:`int_encryptor`) holds the block as
+The scalar encryption engine (:func:`int_encryptor`) takes the block as
 its 64-bit integer (the ``Block.to_int`` convention) and runs each round
 as one walk over the state's 8 bytes through the round tables of
 :func:`inru.batch.tables`, which fuse the confusion chain with the
-diffusion scan; the batch engine walks the same tables.  It binds the
-round plan of one key schedule once and returns the block function, so a
-chained mode pays for the plan once per message; :func:`encrypt_int` and
-:func:`encrypt_block` are one-block views over it.  The key schedule here
-runs on :meth:`Quasigroup.apply_chain`.
+diffusion scan; the batch engine walks the same tables.  The block is
+unpacked into the eight walk entries once on entry and packed back once
+on exit: between rounds the state stays in the entries, and the
+complement a round owes is folded into the next round's key bytes.  It
+binds the round plan of one key schedule once and returns the block
+function, so a chained mode pays for the plan once per message;
+:func:`encrypt_int` and :func:`encrypt_block` are one-block views over
+it.  The key schedule here runs on :meth:`Quasigroup.apply_chain`.
 
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
@@ -270,11 +273,16 @@ def int_encryptor(
 ) -> Callable[[int], int]:
     """:func:`encrypt_int` under fixed round keys, as a function of the block alone.
 
-    The per-round plan (round key, round table, leader walk state, walk
-    direction) is bound once.  A round unpacks the keyed state into its
-    eight bytes, walks them in the round's direction with the eight table
-    steps written out, and packs the eight walk states back in position
-    order: each state's low byte is its output byte.
+    The per-round plan (the round key's bytes and their complement, round
+    table, leader walk state, walk direction) is bound once.  The block is
+    unpacked into its eight bytes on entry and the round state then stays
+    in the eight walk entries ``e0..e7``: each is its walk state << 8 | its
+    output byte.  A round reads keyed byte j as ``(e_j & 255) ^ k_j`` just
+    before its step overwrites ``e_j``, walking in the round's direction
+    with the eight table steps written out.  The all-ones complement that a
+    round owes when its final parity ``c`` is 1 is folded into the next
+    round's key bytes (``ks[c]``), and after the last round into the
+    whitening key; the block is packed back into an int only on exit.
     """
     if not 1 <= rounds <= NUM_ROUNDS:
         raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
@@ -283,43 +291,43 @@ def int_encryptor(
     plan = []
     for i in range(1, rounds + 1):
         k = keys[i - 1]
+        ks = (tuple(k.to_bytes(8, "big")), tuple((k ^ _ALL_ONES).to_bytes(8, "big")))
         if i & 1:  # leader: first nibble of the odd round's key
-            plan.append((k, odd, (k >> 60) << 9, True))
+            plan.append((ks, odd, (k >> 60) << 9, True))
         else:  # leader: last nibble of the even round's key
             # Only the literal 16th round drops its diffusion step.
-            plan.append((k, even if i != 16 else last, (k & 15) << 9, False))
+            plan.append((ks, even if i != 16 else last, (k & 15) << 9, False))
     plan = tuple(plan)
-    whitening = keys[rounds]
+    whitening = (keys[rounds], keys[rounds] ^ _ALL_ONES)
     pack = struct.Struct("<8H").pack
     from_bytes = int.from_bytes
 
     def encrypt(x: int) -> int:
-        for k, t, e, forward in plan:
-            b0, b1, b2, b3, b4, b5, b6, b7 = (x ^ k).to_bytes(8, "big")
+        e0, e1, e2, e3, e4, e5, e6, e7 = x.to_bytes(8, "big")
+        c = 0
+        for ks, t, e, forward in plan:
+            k0, k1, k2, k3, k4, k5, k6, k7 = ks[c]
             if forward:
-                e0 = t[e | b0]
-                e1 = t[e0 & 0x1F00 | b1]
-                e2 = t[e1 & 0x1F00 | b2]
-                e3 = t[e2 & 0x1F00 | b3]
-                e4 = t[e3 & 0x1F00 | b4]
-                e5 = t[e4 & 0x1F00 | b5]
-                e6 = t[e5 & 0x1F00 | b6]
-                e7 = t[e6 & 0x1F00 | b7]
-                e = e7
+                e0 = t[e | (e0 & 255) ^ k0]
+                e1 = t[e0 & 0x1F00 | (e1 & 255) ^ k1]
+                e2 = t[e1 & 0x1F00 | (e2 & 255) ^ k2]
+                e3 = t[e2 & 0x1F00 | (e3 & 255) ^ k3]
+                e4 = t[e3 & 0x1F00 | (e4 & 255) ^ k4]
+                e5 = t[e4 & 0x1F00 | (e5 & 255) ^ k5]
+                e6 = t[e5 & 0x1F00 | (e6 & 255) ^ k6]
+                e7 = t[e6 & 0x1F00 | (e7 & 255) ^ k7]
+                c = e7 >> 8 & 1  # the round's parity: it owes a complement
             else:
-                e7 = t[e | b7]
-                e6 = t[e7 & 0x1F00 | b6]
-                e5 = t[e6 & 0x1F00 | b5]
-                e4 = t[e5 & 0x1F00 | b4]
-                e3 = t[e4 & 0x1F00 | b3]
-                e2 = t[e3 & 0x1F00 | b2]
-                e1 = t[e2 & 0x1F00 | b1]
-                e0 = t[e1 & 0x1F00 | b0]
-                e = e0
-            x = from_bytes(pack(e0, e1, e2, e3, e4, e5, e6, e7)[::2], "big")
-            if e & 0x100:  # the round's parity: complement every bit
-                x ^= _ALL_ONES
-        return x ^ whitening
+                e7 = t[e | (e7 & 255) ^ k7]
+                e6 = t[e7 & 0x1F00 | (e6 & 255) ^ k6]
+                e5 = t[e6 & 0x1F00 | (e5 & 255) ^ k5]
+                e4 = t[e5 & 0x1F00 | (e4 & 255) ^ k4]
+                e3 = t[e4 & 0x1F00 | (e3 & 255) ^ k3]
+                e2 = t[e3 & 0x1F00 | (e2 & 255) ^ k2]
+                e1 = t[e2 & 0x1F00 | (e1 & 255) ^ k1]
+                e0 = t[e1 & 0x1F00 | (e0 & 255) ^ k0]
+                c = e0 >> 8 & 1
+        return from_bytes(pack(e0, e1, e2, e3, e4, e5, e6, e7)[::2], "big") ^ whitening[c]
 
     return encrypt
 

@@ -116,7 +116,9 @@ def runs(seq) -> TestResult:
     if n < 2:
         return _too_short("Run", n, 2)
     pi = float(bits.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    # Below 16 bits 2/sqrt(n) > 1/2, so a constant sequence passes the
+    # frequency bound; pi(1 - pi) = 0 fails the prerequisite all the same.
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi * (1 - pi) == 0:
         return TestResult(
             "Run", (), {"n": n}, applicable=False,
             note="frequency prerequisite failed, runs test not applicable",
@@ -184,11 +186,16 @@ def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     if z == 0:
         return TestResult("CSF" if direction == "forward" else "CSB", (0.0,), {"n": n})
     sqn = math.sqrt(n)
+    first = range(int(math.floor((-n / z + 1) / 4)), int(math.floor((n / z - 1) / 4)) + 1)
+    second = range(int(math.floor((-n / z - 3) / 4)), first.stop)
+    # Both sums read Phi(j * z / sqrt(n)) only at the odd j from
+    # 4 * second.start + 1 to 4 * first.stop - 1; evaluate each once.
+    phi = {j: normal_cdf(j * z / sqn) for j in range(4 * second.start + 1, 4 * first.stop, 2)}
     total = 1.0
-    for k in range(int(math.floor((-n / z + 1) / 4)), int(math.floor((n / z - 1) / 4)) + 1):
-        total -= normal_cdf((4 * k + 1) * z / sqn) - normal_cdf((4 * k - 1) * z / sqn)
-    for k in range(int(math.floor((-n / z - 3) / 4)), int(math.floor((n / z - 1) / 4)) + 1):
-        total += normal_cdf((4 * k + 3) * z / sqn) - normal_cdf((4 * k + 1) * z / sqn)
+    for k in first:
+        total -= phi[4 * k + 1] - phi[4 * k - 1]
+    for k in second:
+        total += phi[4 * k + 3] - phi[4 * k + 1]
     p = min(max(total, 0.0), 1.0)
     return TestResult("CSF" if direction == "forward" else "CSB", (p,), {"n": n, "z": z})
 

@@ -257,6 +257,52 @@ def test_bound_walk_is_reusable_across_blocks(rounds, rng):
 
 
 @pytest.mark.parametrize("rounds", range(1, 17))
+@pytest.mark.parametrize("which", ["inru", "left conjugate"])
+def test_bound_walk_matches_oracle_with_both_round_parities(which, rounds, rng, monkeypatch):
+    # A round whose chain output has odd parity owes an all-ones complement,
+    # which the walk folds into the next round's key bytes (or, after the
+    # last round, into the whitening key).  The left conjugate's table is
+    # the oracle's own left division of its square.
+    q = INRU
+    if which == "left conjugate":
+        q = conjugate(INRU, "left")
+        assert q.mul_table == tuple(map(tuple, ora.ORACLE_LDIV))
+        monkeypatch.setattr(ora, "ORACLE_SQUARE", ora.ORACLE_LDIV)
+    key, iv = random_key(rng), random_iv(rng)
+    rks = expand_key(key, iv, q)
+    ora_rks = ora.ora_expand_key(list(key.nibbles), list(iv.nibbles))
+    assert [list(k.nibbles) for k in rks.keys] == ora_rks
+    blocks = [random_block(rng) for _ in range(32)]
+    walk = int_encryptor(rks, rounds, q)
+    for m in blocks:
+        want = ora.ora_encrypt(list(m.nibbles), ora_rks, rounds)
+        assert walk(m.to_int()) == Block(tuple(want)).to_int()
+
+    parities = {}  # (final round?, parity of the round's chain output)
+    for i, _, z, _ in BatchCipher(q).trace_rounds([m.nibbles for m in blocks], rks.to_array(), rounds):
+        if i != 16:  # the literal 16th round owes no complement
+            for v in np.bitwise_xor.reduce(z, axis=0).tolist():
+                parities.setdefault(i == rounds, set()).add(bin(v).count("1") & 1)
+    if rounds > 1:
+        assert parities[False] == {0, 1}
+    if rounds < 16:
+        assert parities[True] == {0, 1}
+
+
+@pytest.mark.parametrize("rounds", [15, 16])
+def test_bound_walk_orbit_matches_batch_engine(rounds, rng):
+    # An OFB-style orbit x -> E(x) of one bound walk, checked step by step.
+    rks = expand_key(random_key(rng), random_iv(rng))
+    walk = int_encryptor(rks, rounds)
+    orbit = [random_block(rng).to_int()]
+    for _ in range(1000):
+        orbit.append(walk(orbit[-1]))
+    inputs = np.array([list(x.to_bytes(8, "big")) for x in orbit[:-1]], dtype=np.uint8)
+    steps = BatchCipher().encrypt_bytes(inputs, rks.to_array(), rounds)
+    assert [int.from_bytes(row.tobytes(), "big") for row in steps] == orbit[1:]
+
+
+@pytest.mark.parametrize("rounds", range(1, 17))
 def test_int_engine_under_a_second_quasigroup(rounds, rng):
     q = conjugate(INRU, "left")
     engine = BatchCipher(q)

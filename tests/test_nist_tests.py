@@ -4,6 +4,7 @@ import pytest
 from inru.nist_tests import (
     _MAX_WINDOW,
     ALL_TESTS,
+    TestResult,
     _fold,
     _gf2_ranks,
     _pattern_counts,
@@ -52,6 +53,25 @@ def test_runs_not_applicable_on_constant_input():
     assert not res.applicable
     assert res.p_values == ()
     assert not res.passed()
+
+
+@pytest.mark.parametrize("n", range(2, 18))
+@pytest.mark.parametrize("fill", [0, 1])
+def test_runs_not_applicable_on_short_constant_input(n, fill):
+    # Below 16 bits the frequency bound 2/sqrt(n) exceeds 1/2, so a
+    # constant sequence must fail the prerequisite through pi(1 - pi) = 0.
+    res = runs(np.full(n, fill, np.uint8))
+    assert res == TestResult(
+        "Run", (), {"n": n}, applicable=False,
+        note="frequency prerequisite failed, runs test not applicable",
+    )
+
+
+def test_runs_unchanged_at_16_and_17_bits():
+    # Frozen from the implementation before the pi(1 - pi) = 0 guard.
+    bits = np.array([int(c) for c in "01101001100101101"], np.uint8)
+    assert runs(bits[:16]).p_values == (0.1336144025377164,)
+    assert runs(bits).p_values == (0.08580378797002675,)
 
 
 def test_reference_sequence_frequency():
