@@ -14,9 +14,9 @@ is at most one mask, one ``|`` and one ``take``.
 :meth:`BatchCipher.encrypt` is its nibble view.  :func:`tables` builds
 the tables once per quasigroup:
 
-* three round tables that fuse a round's chain with its diffusion scan,
-  which the scalar engine :func:`inru.cipher.int_encryptor` walks too, so
-  both engines get the round from one definition;
+* three round tables that fuse a round's chain with its diffusion scan;
+  the scalar engine :func:`inru.cipher.int_encryptor` walks linked rows
+  derived from them, so both engines get the round from one definition;
 * a left and a right chain table for the key schedule.
 
 Decryption and the diffusion primitives run on nibble rows: the

@@ -17,11 +17,13 @@ actually ran.
 
 The scalar encryption engine (:func:`int_encryptor`) takes the block as
 its 64-bit integer (the ``Block.to_int`` convention) and runs each round
-as one walk over the state's 8 bytes through the round tables of
-:func:`inru.batch.tables`, which fuse the confusion chain with the
-diffusion scan; the batch engine walks the same tables.  The block is
-unpacked into the eight walk entries once on entry and packed back once
-on exit: between rounds the state stays in the entries, and the
+as one walk over the state's 8 bytes.  The walk steps through linked
+rows built from the round tables of :func:`inru.batch.tables`, which
+fuse the confusion chain with the diffusion scan and which the batch
+engine walks directly: a row stands for one walk state, and its entry
+for a keyed byte holds the next row and the output byte.  The block is
+unpacked into its eight output bytes once on entry and packed back once
+on exit: between rounds the state stays in those bytes, and the
 complement a round owes is folded into the next round's key bytes.  It
 binds the round plan of one key schedule once and returns the block
 function, so a chained mode pays for the plan once per message;
@@ -38,7 +40,6 @@ keys and round keys can be shared freely across threads.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -262,10 +263,26 @@ _ALL_ONES = (1 << 64) - 1
 
 
 @lru_cache(maxsize=8)
-def _round_table_lists(q: Quasigroup) -> tuple[list[int], list[int], list[int]]:
-    """The round tables of :func:`inru.batch.tables` as lists, for int lookups."""
+def _round_table_rows(q: Quasigroup) -> tuple[list[list], list[list], list[list]]:
+    """The round tables of :func:`inru.batch.tables` as linked rows.
+
+    Each table becomes 32 rows, one per walk state s.  Entry b of row s is
+    ``(rows[s'], output byte)`` for the table's entry ``s << 8 | b`` =
+    ``s' << 8 | output byte``, and entry 256 is the row's parity ``s & 1``.
+    A table holds only a few hundred distinct entries, so the rows share
+    one link tuple per distinct entry.
+    """
     t = tables(q)
-    return t.odd.tolist(), t.even.tolist(), t.last.tolist()
+    built = []
+    for table in (t.odd, t.even, t.last):
+        entries = table.tolist()
+        rows = [[] for _ in range(32)]
+        links = {v: (rows[v >> 8], v & 255) for v in set(entries)}
+        for s, row in enumerate(rows):
+            row.extend(map(links.__getitem__, entries[s << 8 : (s + 1) << 8]))
+            row.append(s & 1)
+        built.append(rows)
+    return tuple(built)
 
 
 def int_encryptor(
@@ -273,61 +290,60 @@ def int_encryptor(
 ) -> Callable[[int], int]:
     """:func:`encrypt_int` under fixed round keys, as a function of the block alone.
 
-    The per-round plan (the round key's bytes and their complement, round
-    table, leader walk state, walk direction) is bound once.  The block is
-    unpacked into its eight bytes on entry and the round state then stays
-    in the eight walk entries ``e0..e7``: each is its walk state << 8 | its
-    output byte.  A round reads keyed byte j as ``(e_j & 255) ^ k_j`` just
-    before its step overwrites ``e_j``, walking in the round's direction
-    with the eight table steps written out.  The all-ones complement that a
-    round owes when its final parity ``c`` is 1 is folded into the next
-    round's key bytes (``ks[c]``), and after the last round into the
-    whitening key; the block is packed back into an int only on exit.
+    The per-round plan (the round key's bytes and their complement, the
+    start row of the round's walk, walk direction) is bound once.  The
+    walk runs over the linked rows of :func:`_round_table_rows`: a step
+    ``s, o_j = s[o_j ^ k_j]`` reads keyed byte j and moves to the next row
+    in one subscript.  The block is unpacked into its eight output bytes
+    ``o0..o7`` on entry and stays there between rounds; the eight steps of
+    a round are written out in its direction.  The all-ones complement
+    that a round owes when its final row's parity ``c = s[256]`` is 1 is
+    folded into the next round's key bytes (``ks[c]``), and after the last
+    round into the whitening key; the block is packed back into an int
+    only on exit.
     """
     if not 1 <= rounds <= NUM_ROUNDS:
         raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-    odd, even, last = _round_table_lists(q)
+    odd, even, last = _round_table_rows(q)
     keys = rk.ints
     plan = []
     for i in range(1, rounds + 1):
         k = keys[i - 1]
         ks = (tuple(k.to_bytes(8, "big")), tuple((k ^ _ALL_ONES).to_bytes(8, "big")))
         if i & 1:  # leader: first nibble of the odd round's key
-            plan.append((ks, odd, (k >> 60) << 9, True))
+            plan.append((ks, odd[(k >> 60) << 1], True))
         else:  # leader: last nibble of the even round's key
             # Only the literal 16th round drops its diffusion step.
-            plan.append((ks, even if i != 16 else last, (k & 15) << 9, False))
+            plan.append((ks, (even if i != 16 else last)[(k & 15) << 1], False))
     plan = tuple(plan)
     whitening = (keys[rounds], keys[rounds] ^ _ALL_ONES)
-    pack = struct.Struct("<8H").pack
     from_bytes = int.from_bytes
 
     def encrypt(x: int) -> int:
-        e0, e1, e2, e3, e4, e5, e6, e7 = x.to_bytes(8, "big")
+        o0, o1, o2, o3, o4, o5, o6, o7 = x.to_bytes(8, "big")
         c = 0
-        for ks, t, e, forward in plan:
+        for ks, s, forward in plan:
             k0, k1, k2, k3, k4, k5, k6, k7 = ks[c]
             if forward:
-                e0 = t[e | (e0 & 255) ^ k0]
-                e1 = t[e0 & 0x1F00 | (e1 & 255) ^ k1]
-                e2 = t[e1 & 0x1F00 | (e2 & 255) ^ k2]
-                e3 = t[e2 & 0x1F00 | (e3 & 255) ^ k3]
-                e4 = t[e3 & 0x1F00 | (e4 & 255) ^ k4]
-                e5 = t[e4 & 0x1F00 | (e5 & 255) ^ k5]
-                e6 = t[e5 & 0x1F00 | (e6 & 255) ^ k6]
-                e7 = t[e6 & 0x1F00 | (e7 & 255) ^ k7]
-                c = e7 >> 8 & 1  # the round's parity: it owes a complement
+                s, o0 = s[o0 ^ k0]
+                s, o1 = s[o1 ^ k1]
+                s, o2 = s[o2 ^ k2]
+                s, o3 = s[o3 ^ k3]
+                s, o4 = s[o4 ^ k4]
+                s, o5 = s[o5 ^ k5]
+                s, o6 = s[o6 ^ k6]
+                s, o7 = s[o7 ^ k7]
             else:
-                e7 = t[e | (e7 & 255) ^ k7]
-                e6 = t[e7 & 0x1F00 | (e6 & 255) ^ k6]
-                e5 = t[e6 & 0x1F00 | (e5 & 255) ^ k5]
-                e4 = t[e5 & 0x1F00 | (e4 & 255) ^ k4]
-                e3 = t[e4 & 0x1F00 | (e3 & 255) ^ k3]
-                e2 = t[e3 & 0x1F00 | (e2 & 255) ^ k2]
-                e1 = t[e2 & 0x1F00 | (e1 & 255) ^ k1]
-                e0 = t[e1 & 0x1F00 | (e0 & 255) ^ k0]
-                c = e0 >> 8 & 1
-        return from_bytes(pack(e0, e1, e2, e3, e4, e5, e6, e7)[::2], "big") ^ whitening[c]
+                s, o7 = s[o7 ^ k7]
+                s, o6 = s[o6 ^ k6]
+                s, o5 = s[o5 ^ k5]
+                s, o4 = s[o4 ^ k4]
+                s, o3 = s[o3 ^ k3]
+                s, o2 = s[o2 ^ k2]
+                s, o1 = s[o1 ^ k1]
+                s, o0 = s[o0 ^ k0]
+            c = s[256]  # the round's parity: it owes a complement
+        return from_bytes(bytes((o0, o1, o2, o3, o4, o5, o6, o7)), "big") ^ whitening[c]
 
     return encrypt
 

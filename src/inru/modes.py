@@ -61,7 +61,9 @@ def pkcs7_pad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
 
 
 def pkcs7_unpad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
-    if not data or len(data) % block:
+    if not data:
+        raise PaddingError("ciphertext is empty; PKCS#7 needs at least one block")
+    if len(data) % block:
         raise PaddingError("ciphertext length not a whole number of blocks")
     n = data[-1]
     if not 1 <= n <= block or data[-n:] != bytes([n]) * n:
@@ -109,13 +111,17 @@ def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
 
 
 def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
-    """Encrypt a byte message under the configured mode."""
-    encrypt = int_encryptor(rk)  # the chained modes' block function
+    """Encrypt a byte message under the configured mode.
+
+    The chained modes bind the scalar walk once per message; CTR runs on
+    the batch engine and binds none.
+    """
     if cfg.mode == "cbc":
         if cfg.padding == "pkcs7":
             msg = pkcs7_pad(msg)
         elif len(msg) % BLOCK_BYTES:
             raise ValueError("CBC without padding needs a multiple of 8 bytes")
+        encrypt = int_encryptor(rk)
         chain = cfg.mode_iv
         out = []
         for p in _block_ints(msg):
@@ -124,6 +130,7 @@ def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
         return _ints_to_bytes(out)
 
     if cfg.mode == "cfb":
+        encrypt = int_encryptor(rk)
         chain = cfg.mode_iv
         out = []
         for p in _block_ints(msg):
@@ -136,6 +143,7 @@ def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
 
     nblocks = (len(msg) + 7) // BLOCK_BYTES
     if cfg.mode == "ofb":
+        encrypt = int_encryptor(rk)
         feedback = cfg.mode_iv
         ks = []
         for _ in range(nblocks):

@@ -4,13 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import straightline as ora
-from inru.batch import BatchCipher
+from inru.batch import BatchCipher, tables
 from inru.cipher import (
     Block,
     Diversifier,
     MasterKey,
     MixedKeyState,
     RoundKeys,
+    _round_table_rows,
     builtin_vectors,
     decrypt_block,
     diffuse_left,
@@ -287,6 +288,31 @@ def test_bound_walk_matches_oracle_with_both_round_parities(which, rounds, rng, 
         assert parities[False] == {0, 1}
     if rounds < 16:
         assert parities[True] == {0, 1}
+
+
+@pytest.mark.parametrize("which", ["inru", "left conjugate"])
+def test_walk_rows_link_the_round_tables(which):
+    # Row s of a round table holds, for each byte b, the row of the next
+    # walk state and the output byte of table entry s << 8 | b, then the
+    # row's own parity.
+    q, other = INRU, conjugate(INRU, "left")
+    if which == "left conjugate":
+        q, other = other, q
+    rows = _round_table_rows(q)
+    assert _round_table_rows(q) is rows  # cached per quasigroup
+    assert _round_table_rows(other) is not rows
+    t = tables(q)
+    for table, table_rows in zip((t.odd, t.even, t.last), rows, strict=True):
+        entries = table.tolist()
+        assert len(table_rows) == 32
+        for s, row in enumerate(table_rows):
+            assert len(row) == 257
+            assert row[256] == s & 1
+            for b in range(256):
+                v = entries[s << 8 | b]
+                link, out = row[b]
+                assert link is table_rows[v >> 8]
+                assert out == v & 255
 
 
 @pytest.mark.parametrize("rounds", [15, 16])

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,19 @@ def test_truncated_cbc_gives_data_error(tmp_path, capsys):
     rc = run_cli("decrypt", "--key", KEY, "--mode", "cbc", "--in", str(enc), "--out", str(out))
     assert rc == 3
     assert not out.exists()  # no partial output
+
+
+def test_empty_cbc_ciphertext_is_named_data_error(tmp_path, capsys):
+    # Zero bytes is a whole number of blocks, but PKCS#7 needs at least one.
+    src = tmp_path / "empty"
+    out = tmp_path / "pt"
+    src.write_bytes(b"")
+    rc = run_cli("decrypt", "--key", KEY, "--mode", "cbc", "--in", str(src), "--out", str(out))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "ciphertext is empty; PKCS#7 needs at least one block" in err
+    assert "whole number" not in err
+    assert not out.exists()
 
 
 def test_bad_hex_is_usage_error(tmp_path):
@@ -271,3 +285,25 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "simple=true" in proc.stdout
+
+
+FULL_BATTERY = Path(__file__).resolve().parents[1] / "scripts" / "run_full_battery.py"
+
+
+@pytest.mark.parametrize("flag", ["--keys", "--jobs"])
+def test_full_battery_script_rejects_counts_below_one(flag):
+    proc = subprocess.run([sys.executable, str(FULL_BATTERY), flag, "0"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+
+
+def test_full_battery_script_keeps_wall_times_off_stdout():
+    proc = subprocess.run(
+        [sys.executable, str(FULL_BATTERY), "--keys", "1", "--bits", "1000", "--modes", "ctr"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert re.fullmatch(r"\[ctr/zeros: \d+s\]\n\[ctr/ones: \d+s\]\n", proc.stderr)
+    assert "s]" not in proc.stdout
+    assert "mode,input,test,mean_p,passed/applicable" in proc.stdout.splitlines()
