@@ -16,6 +16,7 @@ import sys
 import time
 
 from inru.battery import nist_experiment
+from inru.modes import MODES
 
 
 def positive_int(text):
@@ -28,10 +29,10 @@ def positive_int(text):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--keys", type=positive_int, default=64)
-    ap.add_argument("--bits", type=int, default=1 << 20)
+    ap.add_argument("--bits", type=positive_int, default=1 << 20)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=positive_int, default=1)
-    ap.add_argument("--modes", nargs="*", default=["cbc", "cfb", "ofb", "ctr"])
+    ap.add_argument("--modes", nargs="*", choices=MODES, default=list(MODES))
     args = ap.parse_args()
 
     machine = []

@@ -5,23 +5,26 @@ Working arrays are kept transposed (position, batch) so each row step
 touches contiguous memory; a quasigroup chain is sequential along the
 positions, so vectorization runs across the batch axis only.
 
-Encryption and the key schedule run on byte rows.  A chain is a 16-state
-transducer, so one lookup in a byte-wide table per byte row advances it by
-two nibbles, the table-driven technique of Sarwate ("Computation of
-cyclic redundancy checks via table look-up", CACM 1988).  Each row step
-is at most one mask, one ``|`` and one ``take``.
-:meth:`BatchCipher.encrypt_bytes` takes and returns byte blocks, and
-:meth:`BatchCipher.encrypt` is its nibble view.  :func:`tables` builds
-the tables once per quasigroup:
+Every algorithm runs on (8, n) byte rows; nibbles appear only at the API
+edge.  A chain is a 16-state transducer, so one lookup in a byte-wide
+table per byte row advances it by two nibbles, the table-driven technique
+of Sarwate ("Computation of cyclic redundancy checks via table look-up",
+CACM 1988).  Each row step is at most one mask, one ``|`` and one
+``take``.  :meth:`BatchCipher.encrypt_bytes` and
+:meth:`BatchCipher.decrypt_bytes` take and return byte blocks;
+:meth:`BatchCipher.encrypt` and :meth:`BatchCipher.decrypt` are their
+nibble views.  :func:`tables` builds the tables once per quasigroup:
 
 * three round tables that fuse a round's chain with its diffusion scan;
   the scalar engine :func:`inru.cipher.int_encryptor` walks linked rows
   derived from them, so both engines get the round from one definition;
-* a left and a right chain table for the key schedule.
+* a left and a right chain table for the key schedule;
+* a left and a right division table for decryption; a division chain
+  reads only its input, so a round is one ``take`` over the whole state.
 
-Decryption and the diffusion primitives run on nibble rows: the
-diffusion layers are shift-xors on the whole state plus one 15-step row
-scan.
+The diffusion layers are the byte scans of :func:`_prefix_xors` and
+:func:`_suffix_xors`, which the round tables fuse, plus a 7-step row
+scan of the byte parities.
 
 This engine is the library's only implementation of decryption, of the
 diffusion layers and of the round trace: :mod:`inru.cipher` runs them as
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
+from .quasigroup import INRU, Quasigroup
 
 NUM_ROUNDS = 16
 
@@ -54,7 +57,8 @@ class Tables(NamedTuple):
     last: np.ndarray  # uint16[8192], the literal round 16
     left: np.ndarray  # uint16[65536], e_left over one byte
     right: np.ndarray  # uint16[65536], e_right over one byte
-    ldiv: np.ndarray  # uint8[256], left division for decryption
+    dleft: np.ndarray  # uint8[65536], d_left over one byte
+    dright: np.ndarray  # uint8[65536], d_right over one byte
 
 
 def _prefix_xors(z):
@@ -84,6 +88,12 @@ def tables(q: Quasigroup) -> Tables:
     ``prev << 8 | byte`` to ``output << 8``, and ``right`` maps
     ``byte << 8 | prev`` to ``output``.  The key schedule alternates the
     two, so each of its index words is one ``|`` of two stored words.
+
+    A division chain reads only its input, so in the division tables
+    ``prev`` is the previous input byte (or the leader).  ``dleft`` maps
+    ``prev << 8 | byte`` to d_left's output byte via prev's low nibble, and
+    ``dright`` maps ``byte << 8 | prev`` to d_right's via prev's high
+    nibble; either index word is two adjacent state rows, in order.
 
     The round tables fuse the chain with the round's diffusion scan.  With
     z the round's chain output and P = z0 ^ ... ^ z63 its parity, the two
@@ -117,13 +127,19 @@ def tables(q: Quasigroup) -> Tables:
     even = ((z >> 4) << 1 | parity ^ (p >> 7)) << 8 | ((p << 1) & 255) ^ 255 ^ flip
     last = (z >> 4) << 9 | z
 
+    div = np.array(q.ldiv_table, dtype=np.uint8)
+    high, low = np.ogrid[:256, :256]  # the same index as broadcast axes: cheaper
+    dleft = div[high & 15, low >> 4] << 4 | div[low >> 4, low & 15]
+    dright = div[high & 15, high >> 4] << 4 | div[low >> 4, high & 15]
+
     built = Tables(
         odd.astype(np.uint16),
         even.astype(np.uint16),
         last.astype(np.uint16),
         (left << 8).astype(np.uint16),
         right.astype(np.uint16),
-        np.array(q.ldiv_table, dtype=np.uint8).reshape(256),
+        dleft.ravel(),
+        dright.ravel(),
     )
     for table in built:  # shared by every engine over q
         table.flags.writeable = False
@@ -172,66 +188,47 @@ class BatchCipher:
                 table.take(idx, out=row)
                 prev = row
 
-    def _unchain(self, leaders, w, direction):
-        """d_left or d_right of every column of ``w``, in place."""
-        n = w.shape[0]
-        order = range(n) if direction == LEFT else range(n - 1, -1, -1)
-        prev = np.broadcast_to(np.asarray(leaders, dtype=np.uint8), w.shape[1:])
-        for t in order:
-            cur = w[t].copy()
-            w[t] = np.take(self.tables.ldiv, (prev << 4) | cur)
-            prev = cur
+    # -- diffusion, state shape (8, n) --------------------------------------
 
-    # -- diffusion, state shape (16, n) -------------------------------------
-
-    # Diffusion is an xor scan over the 64 state bits (v0 the msb of
-    # nibble 0).  Inside each nibble it is two shift-xors over the whole
-    # array; the parity carried in from the other nibbles and the leader
-    # bit (1 from the left, 0 from the right) is a 15-step row scan whose
-    # result flips all four bits of a nibble.
+    # Diffusion is an xor scan over the 64 state bits (v0 the msb of byte
+    # 0).  Inside each byte it is the byte scan the round tables fuse, over
+    # the whole array; the parity carried in from the other bytes and the
+    # leader bit (1 from the left, 0 from the right) is a 7-step row scan
+    # whose result flips all eight bits of a byte.
 
     @staticmethod
     def _diffuse_left(w):
-        y = w >> 1
-        y ^= w
-        y ^= y >> 2  # prefix xors; the low bit is the nibble's parity
-        flip = np.empty_like(w)
-        flip[0] = 1
-        np.bitwise_and(y[:-1], 1, out=flip[1:])
-        for t in range(1, 16):
+        y = _prefix_xors(w)
+        flip = y & 1  # the low bit is the byte's parity
+        for t in range(1, 8):
             flip[t] ^= flip[t - 1]
-        flip *= 15
-        y ^= flip
+        y[1:] ^= flip[:-1] * np.uint8(255)
+        y ^= 255  # the leader bit 1 enters every prefix
         return y
 
     @staticmethod
     def _diffuse_right(w):
-        y = w << 1
-        y ^= w
-        y ^= y << 2
-        y &= 15  # suffix xors; the top bit is the nibble's parity
-        flip = np.empty_like(w)
-        flip[-1] = 0
-        np.right_shift(y[1:], 3, out=flip[:-1])
-        for t in range(14, -1, -1):
+        y = _suffix_xors(w)
+        flip = y >> 7  # the top bit is the byte's parity
+        for t in range(6, -1, -1):
             flip[t] ^= flip[t + 1]
-        flip *= 15
-        y ^= flip
+        y[:-1] ^= flip[1:] * np.uint8(255)
         return y
 
     @staticmethod
     def _undiffuse_left(w):
-        prev_low = np.empty_like(w)
-        prev_low[0] = 1
-        prev_low[1:] = w[:-1] & 1
-        return w ^ (prev_low << 3) ^ (w >> 1)
+        y = w >> 1
+        y ^= w
+        y[0] ^= 128  # the leader bit
+        y[1:] ^= w[:-1] << 7
+        return y
 
     @staticmethod
     def _undiffuse_right(w):
-        next_top = np.empty_like(w)
-        next_top[-1] = 0
-        next_top[:-1] = w[1:] >> 3
-        return w ^ ((w << 1) & np.uint8(15)) ^ next_top
+        y = w << 1
+        y ^= w
+        y[:-1] ^= w[1:] >> 7
+        return y
 
     # -- key schedule --------------------------------------------------------
 
@@ -286,15 +283,6 @@ class BatchCipher:
         return (l.reshape(17, 16, n) >> 4).transpose(2, 0, 1).astype(np.uint8)
 
     # -- block encryption ----------------------------------------------------
-
-    @staticmethod
-    def _round_key(rks, i):
-        """Round key i as (16, n)-broadcastable column plus its leader nibbles."""
-        if rks.ndim == 2:  # one schedule shared by the whole batch
-            rk = rks[i][:, None]
-            return rk, rks[i][0], rks[i][15]
-        rk = rks[:, i, :].T
-        return rk, rk[0], rk[15]
 
     @staticmethod
     def _round_key_rows(rks):
@@ -352,7 +340,7 @@ class BatchCipher:
                 yield i, _nibble_rows(x), state, None
             else:
                 undiffuse = self._undiffuse_right if i & 1 else self._undiffuse_left
-                yield i, _nibble_rows(x), undiffuse(state), state
+                yield i, _nibble_rows(x), _nibble_rows(undiffuse(out)), state
         return state
 
     def encrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
@@ -371,32 +359,51 @@ class BatchCipher:
         state ^= kb[rounds]
         return state.T
 
-    def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
-        rows = _byte_rows(np.asarray(blocks, dtype=np.uint8).T)  # (8, n)
-        out = self.encrypt_bytes(rows.T, rks, rounds)  # (n, 8)
-        return _nibble_rows(out.T).T.copy()
+    def decrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        """Invert :meth:`encrypt_bytes` on (n, 8) byte blocks, returned as it returns them.
 
-    def decrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        Round i undiffuses, looks every adjacent pair of rows up in its
+        division table (the leader in a ninth row), then xors its key.
+        """
         if not 1 <= rounds <= NUM_ROUNDS:
             raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
         blocks = np.asarray(blocks, dtype=np.uint8)
-        rks = np.asarray(rks, dtype=np.uint8)
-        w = blocks.T.copy()
-        rk, _, _ = self._round_key(rks, rounds)
-        w ^= rk
+        if blocks.ndim != 2 or blocks.shape[1] != 8:
+            raise ValueError("blocks must have shape (n, 8)")
+        kb = self._round_key_rows(rks)
+        t = self.tables
+        w = blocks.T ^ kb[rounds]
+        pairs = np.empty((9, w.shape[1]), dtype=np.uint16)
         for i in range(rounds, 0, -1):
-            rk, first, last = self._round_key(rks, i - 1)
-            if i & 1:
-                if i != 16:
-                    w = self._undiffuse_right(w)
-                self._unchain(first, w, LEFT)
-            else:
-                if i != 16:
-                    w = self._undiffuse_left(w)
-                self._unchain(last, w, RIGHT)
-            w ^= rk
-        return w.T.copy()
+            k = kb[i - 1]
+            if i & 1:  # d_left from the first nibble of the odd round's key
+                table = t.dleft
+                pairs[0] = k[0] >> 4
+                pairs[1:] = self._undiffuse_right(w)
+            else:  # d_right from the last nibble of the even round's key
+                table = t.dright
+                pairs[:8] = w if i == 16 else self._undiffuse_left(w)
+                pairs[8] = (k[7] & 15) << 4
+            idx = pairs[:-1] << 8
+            idx |= pairs[1:]
+            w = table.take(idx)
+            w ^= k
+        return w.T
+
+    @staticmethod
+    def _nibble_view(byte_cipher, blocks, rks, rounds):
+        """``byte_cipher`` (encrypt_bytes or decrypt_bytes) on (n, 16) nibble blocks."""
+        rows = _byte_rows(np.asarray(blocks, dtype=np.uint8).T)  # (8, n)
+        out = byte_cipher(rows.T, rks, rounds)  # (n, 8)
+        return _nibble_rows(out.T).T.copy()
+
+    def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
+        return self._nibble_view(self.encrypt_bytes, blocks, rks, rounds)
+
+    def decrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
+        """Decrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
+        return self._nibble_view(self.decrypt_bytes, blocks, rks, rounds)
 
 
 def blocks_to_bits(blocks: np.ndarray) -> np.ndarray:

@@ -32,7 +32,8 @@ it.  The key schedule here runs on :meth:`Quasigroup.apply_chain`.
 
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
-implementation of each.
+implementation of each: decryption and the diffusion primitives pass it
+the block's 8 bytes as byte rows, the engine's only state format.
 
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
@@ -233,9 +234,9 @@ def kxor(k: Block, a: Block) -> Block:
 
 
 def _column_view(layer, b: Block) -> Block:
-    """A batch diffusion layer applied to one block as a (16, 1) column."""
-    column = np.array(b.nibbles, dtype=np.uint8)[:, None]
-    return Block(tuple(layer(column)[:, 0].tolist()))
+    """A batch diffusion layer applied to one block's 8 bytes as an (8, 1) column."""
+    column = np.frombuffer(b.to_bytes(), dtype=np.uint8)[:, None]
+    return Block.from_bytes(layer(column)[:, 0].tobytes())
 
 
 def diffuse_left(b: Block) -> Block:
@@ -378,10 +379,10 @@ def decrypt_block(
     its leader from the opposite end of that round's key: the inverse of an
     even (right-chained) encryption round is a right-to-left division chain
     seeded with the key's first nibble, and vice versa.  A view over
-    :meth:`inru.batch.BatchCipher.decrypt` at batch size 1.
+    :meth:`inru.batch.BatchCipher.decrypt_bytes` at batch size 1.
     """
-    plain = BatchCipher(q).decrypt(np.array([c.nibbles]), rk.to_array(), rounds)
-    return Block(tuple(plain[0].tolist()))
+    block = np.frombuffer(c.to_bytes(), dtype=np.uint8)[None]
+    return Block.from_bytes(BatchCipher(q).decrypt_bytes(block, rk.to_array(), rounds).tobytes())
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,8 @@ def cmd_vectors(args) -> int:
     )
 
     if args.action == "generate":
+        if args.count < 1:
+            raise UsageError("count must be positive")
         rng = np.random.default_rng(args.seed)
         lines = [f"# {args.count} generated vectors, seed {args.seed}"]
         for _ in range(args.count):
@@ -207,6 +209,8 @@ def cmd_analyze(args) -> int:
     if ignored:
         flags = ", ".join("--" + f for f in ignored)
         raise UsageError(f"analyze {args.instrument} does not use {flags}")
+    if args.leader is not None and args.view != "row":
+        raise UsageError(f"analyze {args.instrument} uses --leader only with --view row")
     for flag, default in {**_ANALYZE_DEFAULTS, "jobs": _default_jobs()}.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)

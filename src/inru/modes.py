@@ -72,8 +72,7 @@ def pkcs7_unpad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
 
 
 # Block values travel as 64-bit big-endian integers (``Block.to_int``) in
-# the sequential modes, and in the batch engine as (n, 8) byte arrays
-# (encryption) or (n, 16) nibble arrays (decryption).
+# the sequential modes, and in the batch engine as (n, 8) byte arrays.
 
 
 def _block_ints(data: bytes) -> list[int]:
@@ -89,16 +88,6 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     """``data`` xored with the first ``len(data)`` bytes of ``stream``."""
     a = np.frombuffer(data, dtype=np.uint8)
     return (a ^ np.frombuffer(stream, dtype=np.uint8, count=a.size)).tobytes()
-
-
-def _to_nibbles(data: bytes) -> np.ndarray:
-    """Whole blocks of ``data`` as (n, 16) nibbles, high half of each byte first."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    return np.stack([b >> 4, b & 15], axis=1).reshape(-1, 16)
-
-
-def _from_nibbles(nibs: np.ndarray) -> bytes:
-    return (nibs[:, 0::2] << 4 | nibs[:, 1::2]).tobytes()
 
 
 def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
@@ -166,8 +155,9 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
     if cfg.mode == "cbc":
         if len(ct) % BLOCK_BYTES:
             raise PaddingError("CBC ciphertext length not a multiple of 8")
-        plain = BatchCipher().decrypt(_to_nibbles(ct), rk.to_array())
-        out = _xor_bytes(_from_nibbles(plain), iv + ct)
+        blocks = np.frombuffer(ct, dtype=np.uint8).reshape(-1, BLOCK_BYTES)
+        plain = BatchCipher().decrypt_bytes(blocks, rk.to_array())
+        out = _xor_bytes(plain.tobytes(), iv + ct)
         if cfg.padding == "pkcs7":
             return pkcs7_unpad(out)
         return out

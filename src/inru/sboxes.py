@@ -38,6 +38,8 @@ class SboxView:
 
 def row_sbox(q: Quasigroup, leader: int) -> SboxView:
     """The 4x4 Sbox S_l: x -> l*x (a row of the Latin square)."""
+    if not 0 <= leader < q.order:
+        raise ValueError(f"leader must be in 0..{q.order - 1}, got {leader}")
     return SboxView(ROW, 4, 4, q.row(leader), leader)
 
 

@@ -152,13 +152,15 @@ def test_diffusion_matches_oracle_column_by_column(diffuse, undiffuse, oracle, w
     w[:, 0] = 15  # every parity carry set
     if width > 1:
         w[:, 1] = 0
-    before = w.copy()
-    out = diffuse(w)
-    assert np.array_equal(w, before)
-    assert out.shape == (16, width) and out.dtype == np.uint8
+    rows = w[0::2] << 4 | w[1::2]  # the layers take (8, n) byte rows
+    before = rows.copy()
+    out = diffuse(rows)
+    assert np.array_equal(rows, before)
+    assert out.shape == (8, width) and out.dtype == np.uint8
+    nibbles = np.stack([out >> 4, out & 15], axis=1).reshape(16, width)
     for j in range(width):
-        assert out[:, j].tolist() == oracle(w[:, j].tolist())
-    assert np.array_equal(undiffuse(out), w)
+        assert nibbles[:, j].tolist() == oracle(w[:, j].tolist())
+    assert np.array_equal(undiffuse(out), rows)
 
 
 @pytest.mark.parametrize("rounds", [3, 16])
@@ -226,10 +228,12 @@ def test_encrypt_under_a_second_quasigroup(second_quasigroup, second_quasigroup_
     q, eng = second_quasigroup
     blocks, rks, round_keys = second_quasigroup_batches[width]
     xs = _block_ints(blocks)
-    shared = _block_ints(eng.encrypt(blocks, rks[0], rounds))
-    assert shared == [encrypt_int(x, round_keys[0], rounds, q) for x in xs]
-    per_block = _block_ints(eng.encrypt(blocks, rks, rounds))
-    assert per_block == [encrypt_int(x, r, rounds, q) for x, r in zip(xs, round_keys)]
+    shared = eng.encrypt(blocks, rks[0], rounds)
+    assert _block_ints(shared) == [encrypt_int(x, round_keys[0], rounds, q) for x in xs]
+    assert np.array_equal(eng.decrypt(shared, rks[0], rounds), blocks)
+    per_block = eng.encrypt(blocks, rks, rounds)
+    assert _block_ints(per_block) == [encrypt_int(x, r, rounds, q) for x, r in zip(xs, round_keys)]
+    assert np.array_equal(eng.decrypt(per_block, rks, rounds), blocks)
 
 
 @pytest.mark.parametrize("width, shared", [(1, False), (7, False), (7, True), (1000, False)])
@@ -280,9 +284,16 @@ def test_encrypt_bytes_is_encrypt_on_packed_bytes(engine, shared):
         want = engine.encrypt(blocks, rks, rounds)
         assert got.shape == (257, 8)
         assert np.array_equal(got, want[:, 0::2] << 4 | want[:, 1::2])
+        got = engine.decrypt_bytes(packed, rks, rounds)
+        want = engine.decrypt(blocks, rks, rounds)
+        assert got.shape == (257, 8)
+        assert np.array_equal(got, want[:, 0::2] << 4 | want[:, 1::2])
+        assert np.array_equal(engine.decrypt_bytes(engine.encrypt_bytes(packed, rks, rounds), rks, rounds), packed)
     assert np.array_equal(packed, blocks[:, 0::2] << 4 | blocks[:, 1::2])  # input untouched
 
 
 def test_encrypt_bytes_rejects_nibble_blocks(engine):
     with pytest.raises(ValueError):
         engine.encrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 16), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        engine.decrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 16), dtype=np.uint8))

@@ -162,6 +162,14 @@ def test_vectors_generate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_vectors_generate_rejects_too_few_vectors(count, capsys):
+    assert run_cli("vectors", "generate", "--count", count) == 2
+    captured = capsys.readouterr()
+    assert "count must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_qg_check(capsys):
     assert run_cli("analyze", "qg-check") == 0
     out = capsys.readouterr().out
@@ -187,6 +195,24 @@ def test_analyze_ddt_and_lat(tmp_path):
     assert run_cli("analyze", "lat", "--view", "row", "--leader", "b",
                    "--out", str(out)) == 0
     assert "leader b" in out.read_text()
+
+
+@pytest.mark.parametrize("instrument", ["ddt", "lat"])
+@pytest.mark.parametrize("leader, got", [("1f", "31"), ("-1", "-1"), ("10", "16")])
+def test_analyze_rejects_row_leaders_outside_the_square(instrument, leader, got, capsys):
+    assert run_cli("analyze", instrument, "--view", "row", "--leader", leader) == 2
+    captured = capsys.readouterr()
+    assert f"leader must be in 0..15, got {got}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("instrument", ["ddt", "lat"])
+@pytest.mark.parametrize("view", [[], ["--view", "wide"]])
+def test_analyze_rejects_leader_with_the_wide_view(instrument, view, capsys):
+    assert run_cli("analyze", instrument, *view, "--leader", "3") == 2
+    captured = capsys.readouterr()
+    assert f"analyze {instrument} uses --leader only with --view row" in captured.err
+    assert captured.out == ""
 
 
 def test_analyze_diff_prop(capsys):
@@ -290,12 +316,20 @@ def test_console_entry_point():
 FULL_BATTERY = Path(__file__).resolve().parents[1] / "scripts" / "run_full_battery.py"
 
 
-@pytest.mark.parametrize("flag", ["--keys", "--jobs"])
+@pytest.mark.parametrize("flag", ["--keys", "--jobs", "--bits"])
 def test_full_battery_script_rejects_counts_below_one(flag):
     proc = subprocess.run([sys.executable, str(FULL_BATTERY), flag, "0"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+
+
+def test_full_battery_script_rejects_unknown_modes():
+    proc = subprocess.run([sys.executable, str(FULL_BATTERY), "--modes", "ctr", "xyz"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "argument --modes: invalid choice: 'xyz'" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_full_battery_script_keeps_wall_times_off_stdout():

@@ -42,6 +42,12 @@ def test_row_sboxes_are_table_rows():
         assert sorted(row_sbox(INRU, l).table) == list(range(16))
 
 
+@pytest.mark.parametrize("leader", [-1, 16, 31])
+def test_row_sbox_rejects_leaders_outside_the_square(leader):
+    with pytest.raises(ValueError, match=f"leader must be in 0..15, got {leader}"):
+        row_sbox(INRU, leader)
+
+
 def test_wide_sbox_packs_leader_high():
     wide = wide_sbox(INRU)
     for l in range(16):
