@@ -5,15 +5,18 @@ Working arrays are kept transposed (position, batch) so each row step
 touches contiguous memory; a quasigroup chain is sequential along the
 positions, so vectorization runs across the batch axis only.
 
-Every algorithm runs on (8, n) byte rows; nibbles appear only at the API
-edge.  A chain is a 16-state transducer, so one lookup in a byte-wide
-table per byte row advances it by two nibbles, the table-driven technique
-of Sarwate ("Computation of cyclic redundancy checks via table look-up",
-CACM 1988).  Each row step is at most one mask, one ``|`` and one
-``take``.  :meth:`BatchCipher.encrypt_bytes` and
-:meth:`BatchCipher.decrypt_bytes` take and return byte blocks;
-:meth:`BatchCipher.encrypt` and :meth:`BatchCipher.decrypt` are their
-nibble views.  :func:`tables` builds the tables once per quasigroup:
+Every algorithm runs on (8, n) byte rows under (17, 8) byte round keys;
+nibbles appear only at the nibble views.  A chain is a 16-state
+transducer, so one lookup in a byte-wide table per byte row advances it
+by two nibbles, the table-driven technique of Sarwate ("Computation of
+cyclic redundancy checks via table look-up", CACM 1988).  Each row step
+is at most one mask, one ``|`` and one ``take``.  The byte methods
+(:meth:`BatchCipher.expand_key_bytes`, :meth:`BatchCipher.encrypt_bytes`,
+:meth:`BatchCipher.decrypt_bytes`) take and return byte blocks and byte
+round keys; the nibble views (``expand_keys``, ``encrypt``, ``decrypt``,
+``trace_rounds``) take and return nibbles.  Every entry point rejects a
+wrong shape with a ValueError naming the shape it expects.
+:func:`tables` builds the tables once per quasigroup:
 
 * three round tables that fuse a round's chain with its diffusion scan;
   the scalar engine :func:`inru.cipher.int_encryptor` walks linked rows
@@ -152,8 +155,33 @@ def _byte_rows(w):
 
 
 def _nibble_rows(b):
-    """(m, n) byte rows -> fresh (2m, n) nibble rows, the high half first."""
-    return np.stack([b >> 4, b & 15], axis=1).reshape(2 * b.shape[0], b.shape[1])
+    """(m, ...) byte rows -> fresh (2m, ...) nibble rows, the high half first."""
+    return np.stack([b >> 4, b & 15], axis=1).reshape(2 * len(b), *b.shape[1:])
+
+
+def _shaped(a, what, *shapes):
+    """``a`` as a uint8 array of one of ``shapes`` (None: any length), else ValueError."""
+    a = np.asarray(a, dtype=np.uint8)
+    for shape in shapes:
+        if a.ndim == len(shape) and all(s in (None, d) for s, d in zip(shape, a.shape)):
+            return a
+    expected = " or ".join(str(s).replace("None", "n") for s in shapes)
+    raise ValueError(f"{what} must have shape {expected}, got {a.shape}")
+
+
+def _round_key_rows(rks, n):
+    """(17, 8) or (n, 17, 8) byte round keys as (17, 8, 1) or (17, 8, n) byte rows."""
+    rks = _shaped(rks, "round keys", (17, 8), (n, 17, 8))
+    if rks.ndim == 2:  # one schedule shared by the whole batch
+        return rks[:, :, None]
+    return np.ascontiguousarray(rks.transpose(1, 2, 0))
+
+
+def _packed(blocks, rks):
+    """(n, 16) nibble blocks and their nibble round keys, packed into bytes."""
+    blocks = _shaped(blocks, "blocks", (None, 16))
+    rks = _shaped(rks, "round keys", (17, 16), (len(blocks), 17, 16))
+    return _byte_rows(blocks.T).T, _byte_rows(rks.T).T
 
 
 class BatchCipher:
@@ -238,40 +266,39 @@ class BatchCipher:
         The 64 passes take the seed string's nibbles s63, s62, ..., s0 as
         leaders, always from the unmodified seed.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint8)
-        if keys.ndim != 2 or keys.shape[1] != 32:
-            raise ValueError("keys must have shape (n, 32)")
-        n = keys.shape[0]
-        if ivs is None:
-            ivs = np.zeros((n, 16), dtype=np.uint8)
-        ivs = np.ascontiguousarray(ivs, dtype=np.uint8)
+        keys = _shaped(keys, "keys", (None, 32))
+        n = len(keys)
+        ivs = np.zeros((n, 16), dtype=np.uint8) if ivs is None else _shaped(ivs, "ivs", (n, 16))
         tail = np.broadcast_to(np.arange(15, -1, -1, dtype=np.uint8), (n, 16))
         s = np.concatenate([keys, ivs, tail], axis=1).T.copy()  # (64, n)
         a = _byte_rows(s).astype(np.uint16)
         self._chain_passes(s[::-1], a)
         return _nibble_rows(a.astype(np.uint8))
 
-    def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
-        """Run the key schedule for n keys at once.
+    def expand_key_bytes(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
+        """Run the key schedule for n keys at once, returning (n, 17, 8) byte round keys.
 
         ``keys`` is (n, 32) nibbles, ``ivs`` (n, 16) or None for all-zero
-        diversifiers; returns round keys of shape (n, 17, 16).
+        diversifiers.  The result is a transposed view of the (17, 8, n)
+        rows that :meth:`encrypt_bytes` and :meth:`decrypt_bytes` read.
         """
-        return self._round_keys_from_state_columns(self._mixed_state_columns(keys, ivs))
+        return self._round_key_columns(self._mixed_state_columns(keys, ivs)).transpose(2, 0, 1)
+
+    def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
+        """Nibble view of :meth:`expand_key_bytes`: round keys of shape (n, 17, 16)."""
+        return _nibble_rows(self.expand_key_bytes(keys, ivs).T).T
 
     def mix_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
         """Key mixing only, returning the (n, 64) mixed states."""
         return self._mixed_state_columns(keys, ivs).T.copy()
 
     def round_keys_from_states(self, states: np.ndarray) -> np.ndarray:
-        """Round-key generation alone, from (n, 64) mixed-key states."""
-        states = np.ascontiguousarray(states, dtype=np.uint8)
-        if states.ndim != 2 or states.shape[1] != 64:
-            raise ValueError("states must have shape (n, 64)")
-        return self._round_keys_from_state_columns(states.T.copy())
+        """Round-key generation alone, from (n, 64) mixed-key states, as (n, 17, 16) nibbles."""
+        states = _shaped(states, "states", (None, 64))
+        return _nibble_rows(self._round_key_columns(states.T.copy()).transpose(1, 0, 2)).T
 
-    def _round_keys_from_state_columns(self, a: np.ndarray) -> np.ndarray:
-        """Round keys from (64, n) mixed states.
+    def _round_key_columns(self, a: np.ndarray) -> np.ndarray:
+        """(17, 8, n) byte round keys from (64, n) mixed states.
 
         The working string is 0..15 34 times; round key i is the high
         nibbles of its bytes 16i..16i+15 (the even nibbles 32i..32i+30).
@@ -280,18 +307,9 @@ class BatchCipher:
         l = _byte_rows(np.tile(np.arange(16, dtype=np.uint16), 34))
         l = np.repeat(l[:, None], n, axis=1)
         self._chain_passes(a, l)
-        return (l.reshape(17, 16, n) >> 4).transpose(2, 0, 1).astype(np.uint8)
+        return ((l[0::2] & 0xF0) | (l[1::2] >> 4)).astype(np.uint8).reshape(17, 8, n)
 
     # -- block encryption ----------------------------------------------------
-
-    @staticmethod
-    def _round_key_rows(rks):
-        """(17, 16) or (n, 17, 16) round keys as (17, 8, 1) or (17, 8, n) byte rows."""
-        rks = np.asarray(rks, dtype=np.uint8)
-        kb = rks[..., 0::2] << 4 | rks[..., 1::2]
-        if kb.ndim == 2:  # one schedule shared by the whole batch
-            return kb[:, :, None]
-        return np.ascontiguousarray(kb.transpose(1, 2, 0))
 
     def _rounds(self, state, kb, rounds):
         """The round loop on (8, n) byte rows, yielding (round, after_kxor, output).
@@ -331,10 +349,11 @@ class BatchCipher:
         modify; ``after_diffusion`` is None for the literal round 16.  The
         generator returns the state that the final whitening with round key
         ``rounds`` applies to, as :meth:`encrypt` does.  ``rks`` is (17, 16)
-        or (n, 17, 16).
+        or (n, 17, 16) nibbles.
         """
-        rows = _byte_rows(np.asarray(blocks, dtype=np.uint8).T)
-        for i, x, out in self._rounds(rows, self._round_key_rows(rks), rounds):
+        blocks, rks = _packed(blocks, rks)
+        rows = np.ascontiguousarray(blocks.T)
+        for i, x, out in self._rounds(rows, _round_key_rows(rks, len(blocks)), rounds):
             state = _nibble_rows(out)
             if i == 16:
                 yield i, _nibble_rows(x), state, None
@@ -344,15 +363,13 @@ class BatchCipher:
         return state
 
     def encrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Encrypt (n, 8) byte blocks (``Block.to_bytes``); ``rks`` is (17, 16) or (n, 17, 16).
+        """Encrypt (n, 8) byte blocks (``Block.to_bytes``); ``rks`` is (17, 8) or (n, 17, 8) bytes.
 
         Returns the (n, 8) ciphertext bytes as a transposed view of fresh
         memory.
         """
-        blocks = np.asarray(blocks, dtype=np.uint8)
-        if blocks.ndim != 2 or blocks.shape[1] != 8:
-            raise ValueError("blocks must have shape (n, 8)")
-        kb = self._round_key_rows(rks)
+        blocks = _shaped(blocks, "blocks", (None, 8))
+        kb = _round_key_rows(rks, len(blocks))
         # Keep only the last round's arrays while draining the loop.
         rows = np.ascontiguousarray(blocks.T)
         _, _, state = deque(self._rounds(rows, kb, rounds), maxlen=1)[0]
@@ -367,10 +384,8 @@ class BatchCipher:
         """
         if not 1 <= rounds <= NUM_ROUNDS:
             raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
-        blocks = np.asarray(blocks, dtype=np.uint8)
-        if blocks.ndim != 2 or blocks.shape[1] != 8:
-            raise ValueError("blocks must have shape (n, 8)")
-        kb = self._round_key_rows(rks)
+        blocks = _shaped(blocks, "blocks", (None, 8))
+        kb = _round_key_rows(rks, len(blocks))
         t = self.tables
         w = blocks.T ^ kb[rounds]
         pairs = np.empty((9, w.shape[1]), dtype=np.uint16)
@@ -390,29 +405,10 @@ class BatchCipher:
             w ^= k
         return w.T
 
-    @staticmethod
-    def _nibble_view(byte_cipher, blocks, rks, rounds):
-        """``byte_cipher`` (encrypt_bytes or decrypt_bytes) on (n, 16) nibble blocks."""
-        rows = _byte_rows(np.asarray(blocks, dtype=np.uint8).T)  # (8, n)
-        out = byte_cipher(rows.T, rks, rounds)  # (n, 8)
-        return _nibble_rows(out.T).T.copy()
-
     def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
-        return self._nibble_view(self.encrypt_bytes, blocks, rks, rounds)
+        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles."""
+        return _nibble_rows(self.encrypt_bytes(*_packed(blocks, rks), rounds).T).T.copy()
 
     def decrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Decrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16)."""
-        return self._nibble_view(self.decrypt_bytes, blocks, rks, rounds)
-
-
-def blocks_to_bits(blocks: np.ndarray) -> np.ndarray:
-    """(n, 16) nibbles -> (n, 64) bits in string order (msb of nibble first)."""
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    return np.unpackbits(blocks[:, 0::2] << 4 | blocks[:, 1::2], axis=1)
-
-
-def bits_to_blocks(bits: np.ndarray) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1, 16, 4)
-    weights = np.array([8, 4, 2, 1], dtype=np.uint8)
-    return (bits * weights).sum(axis=2, dtype=np.uint8)
+        """Decrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles."""
+        return _nibble_rows(self.decrypt_bytes(*_packed(blocks, rks), rounds).T).T.copy()

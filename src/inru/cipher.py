@@ -33,7 +33,9 @@ it.  The key schedule here runs on :meth:`Quasigroup.apply_chain`.
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
 implementation of each: decryption and the diffusion primitives pass it
-the block's 8 bytes as byte rows, the engine's only state format.
+the block's 8 bytes as byte rows, the engine's only state format, and
+decryption passes :attr:`RoundKeys.key_bytes`, the engine's (17, 8) byte
+round keys.
 
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
@@ -220,8 +222,14 @@ class RoundKeys:
         """The round keys as 64-bit integers (``Block.to_int``), computed once."""
         return tuple(k.to_int() for k in self.keys)
 
+    @cached_property
+    def key_bytes(self) -> np.ndarray:
+        """A read-only (17, 8) uint8 array, computed once: the ``rks`` of the byte engine."""
+        data = b"".join(k.to_bytes(8, "big") for k in self.ints)
+        return np.frombuffer(data, dtype=np.uint8).reshape(17, 8)
+
     def to_array(self) -> np.ndarray:
-        """A fresh (17, 16) uint8 nibble array: the ``rks`` of the batch engine."""
+        """A fresh (17, 16) uint8 nibble array: the ``rks`` of the engine's nibble views."""
         return np.array([k.nibbles for k in self.keys], dtype=np.uint8)
 
 
@@ -382,7 +390,7 @@ def decrypt_block(
     :meth:`inru.batch.BatchCipher.decrypt_bytes` at batch size 1.
     """
     block = np.frombuffer(c.to_bytes(), dtype=np.uint8)[None]
-    return Block.from_bytes(BatchCipher(q).decrypt_bytes(block, rk.to_array(), rounds).tobytes())
+    return Block.from_bytes(BatchCipher(q).decrypt_bytes(block, rk.key_bytes, rounds).tobytes())
 
 
 @dataclass(frozen=True)

@@ -89,12 +89,22 @@ def _hex_int(text: str, digits: int, what: str) -> int:
 # -- subcommands ---------------------------------------------------------------
 
 
+# The modes each encrypt/decrypt flag applies to; giving it under another
+# mode is a usage error instead of being silently ignored.
+_MODE_FLAGS = {"mode_iv": ("cbc", "cfb", "ofb"), "nonce": ("ctr",), "padding": ("cbc",)}
+
+
 def _mode_config(args):
     from .modes import ModeConfig
 
-    mode_iv = _hex_int(args.mode_iv, 16, "--mode-iv") if args.mode_iv else 0
-    nonce = _hex_int(args.nonce, 8, "--nonce") if args.nonce else 0
-    return ModeConfig(args.mode, mode_iv=mode_iv, nonce=nonce, padding=args.padding)
+    ignored = [f for f, modes in _MODE_FLAGS.items()
+               if getattr(args, f) is not None and args.mode not in modes]
+    if ignored:
+        flags = ", ".join("--" + f.replace("_", "-") for f in ignored)
+        raise UsageError(f"{args.command} --mode {args.mode} does not use {flags}")
+    mode_iv = _hex_int(args.mode_iv, 16, "--mode-iv") if args.mode_iv is not None else 0
+    nonce = _hex_int(args.nonce, 8, "--nonce") if args.nonce is not None else 0
+    return ModeConfig(args.mode, mode_iv=mode_iv, nonce=nonce, padding=args.padding or "pkcs7")
 
 
 def cmd_encrypt(args) -> int:
@@ -172,10 +182,9 @@ def cmd_vectors(args) -> int:
     # verify
     if not args.file:
         raise UsageError("vectors verify needs a file argument")
-    text = _read_bytes(args.file).decode()
     try:
-        vectors = read_vectors(text)
-    except ValueError as e:
+        vectors = read_vectors(_read_bytes(args.file).decode())
+    except ValueError as e:  # UnicodeDecodeError included
         raise DataError(str(e))
     if not vectors:
         raise DataError("no vectors in file")
@@ -198,7 +207,7 @@ def _load_quasigroup(args):
     if args.square:
         try:
             return load_square(args.square)
-        except LatinSquareError as e:
+        except (LatinSquareError, UnicodeDecodeError) as e:
             raise DataError(f"bad square file: {e}")
     return INRU
 
@@ -409,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["cbc", "cfb", "ofb", "ctr"], default="ctr")
         sp.add_argument("--mode-iv", help="CBC/CFB/OFB chaining IV, 16 hex digits")
         sp.add_argument("--nonce", help="CTR nonce, 8 hex digits")
-        sp.add_argument("--padding", choices=["pkcs7", "none"], default="pkcs7")
+        sp.add_argument("--padding", choices=["pkcs7", "none"], help="CBC padding (default pkcs7)")
         sp.add_argument("--in", dest="infile", required=True, help="input file")
         sp.add_argument("--out", required=True, help="output file")
         sp.set_defaults(func=fn)

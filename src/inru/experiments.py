@@ -5,6 +5,10 @@ reproducible; heavy ones accept a ``jobs`` argument and farm fixed per-key
 work units out to a process pool.  Work units and their sub-seeds depend
 only on the experiment seed, and results merge by accumulation in unit
 order, so the output is identical for every jobs value.
+
+The avalanche units run on the batch engine's byte methods: string bit
+b is bit 7 - (b mod 8) of byte b // 8, so they flip bits as bytes and
+xor ciphertext bytes before unpacking or counting bits.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BatchCipher, blocks_to_bits
+from .batch import BatchCipher, _byte_rows
 from .cipher import Block, MasterKey, expand_key
 
 
@@ -99,16 +103,17 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
     key_nibbles, count, sub_seed, rounds = args
     rng = np.random.default_rng(sub_seed)
     eng = BatchCipher()
-    rks_arr = expand_key(MasterKey(tuple(key_nibbles))).to_array()
-    pts = rng.integers(0, 16, size=(count, 16), dtype=np.uint8)
-    base_bits = blocks_to_bits(eng.encrypt(pts, rks_arr, rounds=rounds))
-    flipped = np.repeat(pts[None, :, :], 64, axis=0)  # (64, count, 16)
-    for b in range(64):
-        flipped[b, :, b >> 2] ^= 1 << (3 - (b & 3))
-    ct = eng.encrypt(flipped.reshape(64 * count, 16), rks_arr, rounds=rounds)
-    diff = blocks_to_bits(ct).reshape(64, count, 64) ^ base_bits[None, :, :]
-    flip_counts = diff.sum(axis=1, dtype=np.int64)
-    unit_means = diff.sum(axis=(0, 2), dtype=np.int64) / (64 * 64) * 100.0
+    rks = expand_key(MasterKey(tuple(key_nibbles))).key_bytes
+    nibbles = rng.integers(0, 16, size=(count, 16), dtype=np.uint8)
+    pts = _byte_rows(nibbles.T)  # (8, count) byte rows
+    base = eng.encrypt_bytes(pts.T, rks, rounds).T
+    flipped = np.repeat(pts[:, None], 64, axis=1)  # (8, 64 flips, count)
+    for b in range(64):  # string bit b is bit 7 - (b mod 8) of byte b // 8
+        flipped[b >> 3, b] ^= 0x80 >> (b & 7)
+    ct = eng.encrypt_bytes(flipped.reshape(8, -1).T, rks, rounds).T.reshape(8, 64, count)
+    diff = np.unpackbits(ct ^ base[:, None], axis=0)  # (64 ciphertext bits, 64 flips, count)
+    flip_counts = diff.sum(axis=2, dtype=np.int64).T
+    unit_means = diff.sum(axis=(0, 1), dtype=np.int64) / (64 * 64) * 100.0
     return flip_counts, unit_means
 
 
@@ -197,7 +202,7 @@ class KeyAvalancheResult:
     per_bit_ct_mean: np.ndarray  # (128,) ciphertext flip fraction per master-key bit
 
 
-_NIBBLE_WEIGHT = np.array([bin(v).count("1") for v in range(16)], dtype=np.uint8)
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheResult:
@@ -207,20 +212,18 @@ def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheR
     rng = np.random.default_rng(seed)
     eng = BatchCipher()
     base_keys = rng.integers(0, 16, size=(trials, 32), dtype=np.uint8)
-    pts = rng.integers(0, 16, size=(trials, 16), dtype=np.uint8)
+    pts = _byte_rows(rng.integers(0, 16, size=(trials, 16), dtype=np.uint8).T).T
 
     keys = np.repeat(base_keys[:, None, :], 129, axis=1)  # (trials, 129, 32)
     for b in range(128):
         keys[:, 1 + b, b >> 2] ^= 1 << (3 - (b & 3))
-    rks = eng.expand_keys(keys.reshape(-1, 32)).reshape(trials, 129, 17, 16)
+    rks = eng.expand_key_bytes(keys.reshape(-1, 32))  # (trials * 129, 17, 8)
 
-    rk_flips = _NIBBLE_WEIGHT[rks[:, 1:] ^ rks[:, :1]]
-    rk_diffs = rk_flips.sum(axis=(2, 3), dtype=np.int64)  # (trials, 128)
+    rk = rks.reshape(trials, 129, 17, 8)
+    rk_diffs = _POPCOUNT[rk[:, 1:] ^ rk[:, :1]].sum(axis=(2, 3), dtype=np.int64)  # (trials, 128)
 
-    blocks = np.repeat(pts[:, None, :], 129, axis=1).reshape(-1, 16)
-    ct = eng.encrypt(blocks, rks.reshape(-1, 17, 16), rounds=rounds)
-    ct_bits = blocks_to_bits(ct).reshape(trials, 129, 64)
-    ct_diffs = (ct_bits[:, 1:, :] != ct_bits[:, :1, :]).sum(axis=2)  # (trials, 128)
+    ct = eng.encrypt_bytes(np.repeat(pts, 129, axis=0), rks, rounds).reshape(trials, 129, 8)
+    ct_diffs = _POPCOUNT[ct[:, 1:] ^ ct[:, :1]].sum(axis=2, dtype=np.int64)  # (trials, 128)
 
     return KeyAvalancheResult(
         trials,

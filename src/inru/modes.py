@@ -96,7 +96,7 @@ def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
     counters = np.empty((nblocks, 2), dtype=">u4")
     counters[:, 0] = cfg.nonce
     counters[:, 1] = np.arange(nblocks, dtype=np.uint32)
-    return BatchCipher().encrypt_bytes(counters.view(np.uint8), rk.to_array()).tobytes()
+    return BatchCipher().encrypt_bytes(counters.view(np.uint8), rk.key_bytes).tobytes()
 
 
 def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
@@ -156,7 +156,7 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
         if len(ct) % BLOCK_BYTES:
             raise PaddingError("CBC ciphertext length not a multiple of 8")
         blocks = np.frombuffer(ct, dtype=np.uint8).reshape(-1, BLOCK_BYTES)
-        plain = BatchCipher().decrypt_bytes(blocks, rk.to_array())
+        plain = BatchCipher().decrypt_bytes(blocks, rk.key_bytes)
         out = _xor_bytes(plain.tobytes(), iv + ct)
         if cfg.padding == "pkcs7":
             return pkcs7_unpad(out)
@@ -165,7 +165,7 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
     if cfg.mode == "cfb":
         nblocks = (len(ct) + 7) // BLOCK_BYTES
         prev = np.frombuffer(iv + ct, dtype=np.uint8, count=nblocks * BLOCK_BYTES)
-        stream = BatchCipher().encrypt_bytes(prev.reshape(nblocks, BLOCK_BYTES), rk.to_array())
+        stream = BatchCipher().encrypt_bytes(prev.reshape(nblocks, BLOCK_BYTES), rk.key_bytes)
         return _xor_bytes(ct, stream.tobytes())
 
     # OFB and CTR are their own inverses.

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 import straightline as ora
 
-from inru.batch import BatchCipher, bits_to_blocks, blocks_to_bits
+from inru.batch import BatchCipher
 from inru.cipher import (
     Block,
     Diversifier,
@@ -37,6 +39,21 @@ def test_expand_keys_matches_scalar(engine):
             Diversifier(tuple(int(v) for v in ivs[j])),
         )
         assert [list(k.nibbles) for k in ref.keys] == rks[j].tolist()
+
+
+def test_expand_key_bytes_matches_scalar_key_bytes(engine):
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 16, size=(6, 32), dtype=np.uint8)
+    ivs = rng.integers(0, 16, size=(6, 16), dtype=np.uint8)
+    kb = engine.expand_key_bytes(keys, ivs)
+    assert kb.shape == (6, 17, 8) and kb.dtype == np.uint8
+    for j in range(6):
+        ref = expand_key(
+            MasterKey(tuple(int(v) for v in keys[j])),
+            Diversifier(tuple(int(v) for v in ivs[j])),
+        )
+        assert np.array_equal(kb[j], ref.key_bytes)
+        assert not ref.key_bytes.flags.writeable
 
 
 def test_expand_keys_default_iv(engine):
@@ -113,19 +130,6 @@ def _to_roundkeys(rks_array):
     from inru.cipher import RoundKeys
 
     return RoundKeys(tuple(Block(tuple(int(v) for v in rk)) for rk in rks_array))
-
-
-def test_bits_round_trip(engine):
-    rng = np.random.default_rng(5)
-    blocks = rng.integers(0, 16, size=(100, 16), dtype=np.uint8)
-    bits = blocks_to_bits(blocks)
-    assert bits.shape == (100, 64)
-    assert np.array_equal(bits_to_blocks(bits), blocks)
-    # bit order: string bit 0 is the msb of nibble 0
-    one = np.zeros((1, 16), dtype=np.uint8)
-    one[0, 0] = 0x8
-    assert blocks_to_bits(one)[0, 0] == 1
-    assert blocks_to_bits(one)[0, 1:].sum() == 0
 
 
 def test_rounds_validation(engine):
@@ -279,21 +283,48 @@ def test_encrypt_bytes_is_encrypt_on_packed_bytes(engine, shared):
     blocks = rng.integers(0, 16, size=(257, 16), dtype=np.uint8)
     rks = rng.integers(0, 16, size=(17, 16) if shared else (257, 17, 16), dtype=np.uint8)
     packed = blocks[:, 0::2] << 4 | blocks[:, 1::2]
+    packed_rks = rks[..., 0::2] << 4 | rks[..., 1::2]
     for rounds in (1, 2, 15, 16):
-        got = engine.encrypt_bytes(packed, rks, rounds)
+        got = engine.encrypt_bytes(packed, packed_rks, rounds)
         want = engine.encrypt(blocks, rks, rounds)
         assert got.shape == (257, 8)
         assert np.array_equal(got, want[:, 0::2] << 4 | want[:, 1::2])
-        got = engine.decrypt_bytes(packed, rks, rounds)
+        got = engine.decrypt_bytes(packed, packed_rks, rounds)
         want = engine.decrypt(blocks, rks, rounds)
         assert got.shape == (257, 8)
         assert np.array_equal(got, want[:, 0::2] << 4 | want[:, 1::2])
-        assert np.array_equal(engine.decrypt_bytes(engine.encrypt_bytes(packed, rks, rounds), rks, rounds), packed)
+        encrypted = engine.encrypt_bytes(packed, packed_rks, rounds)
+        assert np.array_equal(engine.decrypt_bytes(encrypted, packed_rks, rounds), packed)
     assert np.array_equal(packed, blocks[:, 0::2] << 4 | blocks[:, 1::2])  # input untouched
 
 
 def test_encrypt_bytes_rejects_nibble_blocks(engine):
     with pytest.raises(ValueError):
-        engine.encrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 16), dtype=np.uint8))
+        engine.encrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 8), dtype=np.uint8))
     with pytest.raises(ValueError):
-        engine.decrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 16), dtype=np.uint8))
+        engine.decrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 8), dtype=np.uint8))
+
+
+_NIBBLE_VIEWS = ("encrypt", "decrypt", "trace_rounds")
+_NIBBLE_BLOCKS = "blocks must have shape (n, 16), got "
+_NIBBLE_RKS = "round keys must have shape (17, 16) or (3, 17, 16), got "
+_BYTE_RKS = "round keys must have shape (17, 8) or (3, 17, 8), got "
+_SHAPE_CASES = [  # (method, argument shapes, the error's message)
+    *[(method, [(3, 15), (17, 16)], _NIBBLE_BLOCKS + "(3, 15)") for method in _NIBBLE_VIEWS],
+    *[(method, [(3, 16), (16, 16)], _NIBBLE_RKS + "(16, 16)") for method in _NIBBLE_VIEWS],
+    *[(method, [(3, 16), (4, 17, 16)], _NIBBLE_RKS + "(4, 17, 16)") for method in _NIBBLE_VIEWS],
+    ("encrypt_bytes", [(3, 8), (17, 16)], _BYTE_RKS + "(17, 16)"),
+    ("decrypt_bytes", [(3, 8), (17, 16)], _BYTE_RKS + "(17, 16)"),
+    ("decrypt_bytes", [(3, 8), (2, 17, 8)], _BYTE_RKS + "(2, 17, 8)"),
+    ("encrypt_bytes", [(3, 7), (17, 8)], "blocks must have shape (n, 8), got (3, 7)"),
+    ("expand_keys", [(2, 32), (2, 15)], "ivs must have shape (2, 16), got (2, 15)"),
+    ("expand_keys", [(2, 32), (3, 16)], "ivs must have shape (2, 16), got (3, 16)"),
+    ("expand_key_bytes", [(2, 31)], "keys must have shape (n, 32), got (2, 31)"),
+]
+
+
+@pytest.mark.parametrize("method, shapes, expected", _SHAPE_CASES)
+def test_entry_points_name_the_shape_they_expect(engine, method, shapes, expected):
+    args = [np.zeros(shape, dtype=np.uint8) for shape in shapes]
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        list(getattr(engine, method)(*args))  # list() runs the trace_rounds generator

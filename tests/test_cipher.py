@@ -324,7 +324,7 @@ def test_bound_walk_orbit_matches_batch_engine(rounds, rng):
     for _ in range(1000):
         orbit.append(walk(orbit[-1]))
     inputs = np.array([list(x.to_bytes(8, "big")) for x in orbit[:-1]], dtype=np.uint8)
-    steps = BatchCipher().encrypt_bytes(inputs, rks.to_array(), rounds)
+    steps = BatchCipher().encrypt_bytes(inputs, rks.key_bytes, rounds)
     assert [int.from_bytes(row.tobytes(), "big") for row in steps] == orbit[1:]
 
 

@@ -100,6 +100,48 @@ def test_bad_hex_is_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("mode, flags, named", [
+    ("ctr", ["--mode-iv", "0123456789abcdef"], "--mode-iv"),
+    ("cbc", ["--nonce", "0a0b0c0d"], "--nonce"),
+    ("cfb", ["--nonce", "0a0b0c0d"], "--nonce"),
+    ("ofb", ["--nonce", "0a0b0c0d"], "--nonce"),
+    ("cfb", ["--padding", "none"], "--padding"),
+    ("ofb", ["--padding", "pkcs7"], "--padding"),
+    ("ctr", ["--padding", "none"], "--padding"),
+])
+def test_mode_flags_a_mode_ignores_are_usage_errors(command, mode, flags, named, tmp_path, capsys):
+    src = tmp_path / "msg"
+    out = tmp_path / "o"
+    src.write_bytes(bytes(16))
+    rc = run_cli(command, "--key", KEY, "--mode", mode, *flags, "--in", str(src), "--out", str(out))
+    assert rc == 2
+    assert f"{command} --mode {mode} does not use {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, flag, named", [
+    ("cbc", "--mode-iv=", "--mode-iv must be 16 hex digits"),
+    ("ctr", "--nonce=", "--nonce must be 8 hex digits"),
+])
+def test_empty_mode_iv_or_nonce_is_usage_error(mode, flag, named, tmp_path, capsys):
+    src = tmp_path / "msg"
+    src.write_bytes(b"x")
+    rc = run_cli("encrypt", "--key", KEY, "--mode", mode, flag, "--in", str(src), "--out", str(tmp_path / "o"))
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cbc_padding_none_round_trip(tmp_path):
+    src, enc, dec = tmp_path / "msg", tmp_path / "ct", tmp_path / "pt"
+    src.write_bytes(bytes(range(16)))
+    for command, infile, outfile in (("encrypt", src, enc), ("decrypt", enc, dec)):
+        assert run_cli(command, "--key", KEY, "--mode", "cbc", "--padding", "none",
+                       "--in", str(infile), "--out", str(outfile)) == 0
+    assert enc.stat().st_size == 16
+    assert dec.read_bytes() == bytes(range(16))
+
+
 def test_missing_input_is_io_error(tmp_path):
     rc = run_cli("encrypt", "--key", KEY, "--in", str(tmp_path / "absent"),
                  "--out", str(tmp_path / "o"))
@@ -146,6 +188,13 @@ def test_vectors_corruption_detected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "1 of 10 vectors failed" in captured.err
     assert captured.out.count("vector ") == 1  # exactly one offending line reported
+
+
+def test_vectors_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    vf = tmp_path / "vec.txt"
+    vf.write_bytes(b"\xff\xfe not text\n")
+    assert run_cli("vectors", "verify", str(vf)) == 3
+    assert "can't decode" in capsys.readouterr().err
 
 
 def test_shipped_vectors_verify(capsys):
@@ -220,6 +269,13 @@ def test_analyze_diff_prop(capsys):
     out = capsys.readouterr().out
     assert "activation frequency" in out
     assert " 1.000" in out
+
+
+def test_square_file_that_is_not_ascii_is_data_error(tmp_path, capsys):
+    square = tmp_path / "square.txt"
+    square.write_bytes(b"0 1\n1 0 \xe9\n")
+    assert run_cli("analyze", "ddt", "--square", str(square)) == 3
+    assert "bad square file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inru.cipher import Block
+from inru.cipher import Block, MasterKey, encrypt_block, expand_key
 from inru.experiments import (
+    _flip_unit,
     avalanche_key,
     avalanche_plaintext,
     diff_propagation_experiment,
@@ -128,6 +129,51 @@ def test_key_avalanche_small_run():
     assert 0.45 < res.ct_flip_mean < 0.55
     assert res.per_bit_ct_mean.shape == (128,)
     assert np.all(res.per_bit_ct_mean > 0.40) and np.all(res.per_bit_ct_mean < 0.60)
+
+
+@pytest.mark.parametrize("rounds", [1, 16])
+def test_flip_counts_follow_the_scalar_bit_order(rounds):
+    # String bit b is Block.bit(b); one round leaves the flip pattern of
+    # each input bit visible, so a permuted bit order changes the counts.
+    key, count, sub_seed = list(range(16)) * 2, 3, 17
+    flip_counts, unit_means = _flip_unit((key, count, sub_seed, rounds))
+    rk = expand_key(MasterKey(tuple(key)))
+    nibbles = np.random.default_rng(sub_seed).integers(0, 16, size=(count, 16), dtype=np.uint8)
+    want = np.zeros((64, 64), dtype=np.int64)
+    per_trial = []
+    for row in nibbles:
+        m = Block(tuple(int(v) for v in row))
+        c = encrypt_block(m, rk, rounds)
+        flips = np.array([[c.bit(j) != encrypt_block(m.flip_bit(b), rk, rounds).bit(j) for j in range(64)]
+                          for b in range(64)])
+        want += flips
+        per_trial.append(flips.sum())
+    assert np.array_equal(flip_counts, want)
+    assert np.array_equal(unit_means, np.array(per_trial) / (64 * 64) * 100.0)
+
+
+@pytest.mark.parametrize("rounds", [1, 16])
+def test_key_avalanche_follows_the_scalar_definitions(rounds):
+    trials, seed = 2, 8
+    res = avalanche_key(trials, rounds, seed)
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 16, size=(trials, 32), dtype=np.uint8)
+    pts = rng.integers(0, 16, size=(trials, 16), dtype=np.uint8)
+    rk_diffs = np.zeros((trials, 128), dtype=np.int64)
+    ct_diffs = np.zeros((trials, 128), dtype=np.int64)
+    for t in range(trials):
+        key, m = MasterKey(tuple(int(v) for v in keys[t])), Block(tuple(int(v) for v in pts[t]))
+        rk = expand_key(key)
+        c = encrypt_block(m, rk, rounds)
+        for b in range(128):
+            flipped = expand_key(key.flip_bit(b))
+            rk_diffs[t, b] = sum(bin(x ^ y).count("1") for x, y in zip(rk.ints, flipped.ints))
+            d = encrypt_block(m, flipped, rounds)
+            ct_diffs[t, b] = sum(c.bit(j) != d.bit(j) for j in range(64))
+    assert res.min_roundkey_flips == rk_diffs.min()
+    assert res.roundkey_flip_mean == rk_diffs.mean() / (17 * 64)
+    assert res.ct_flip_mean == ct_diffs.mean() / 64
+    assert np.array_equal(res.per_bit_ct_mean, ct_diffs.mean(axis=0) / 64)
 
 
 def test_key_avalanche_validates_trials():
