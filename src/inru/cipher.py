@@ -6,6 +6,13 @@ high half and m(2j+1) in its low half; bit i of the 64-bit string is bit
 (i mod 4) from the top of nibble i//4 (so bit 0 is the most significant bit
 of m0 and bit 63 the least significant bit of m15).
 
+The four value types (:class:`Block`, :class:`MasterKey`,
+:class:`Diversifier`, :class:`MixedKeyState`) are nibble strings of fixed
+length on one base, which owns their validation, hex form and bit
+indexing.  A hex form takes ASCII hex digits only (:func:`is_hex`).
+``Block`` adds the nibble/byte packing, and its 64-bit integer form goes
+through that packing.
+
 The key-schedule diversifier (``iv``) is a public 64-bit tweak, not a mode
 IV; it defaults to all-zero.  Leaders inside the key schedule are read from
 the frozen initial strings, never from the evolving state.
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -57,26 +64,71 @@ KEY_NIBBLES = 32
 NUM_ROUND_KEYS = 17
 
 
-def _check_nibbles(nibbles: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    t = tuple(nibbles)
-    if len(t) != n:
-        raise ValueError(f"{what} needs exactly {n} nibbles, got {len(t)}")
-    for v in t:
-        if not 0 <= v <= 15:
-            raise ValueError(f"{what} contains {v}, not a nibble")
-    return t
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def is_hex(text: str) -> bool:
+    """True iff ``text`` is one or more ASCII hex digits.
+
+    ``int(text, 16)`` also reads a ``0x`` prefix, ``_`` separators, a sign,
+    surrounding whitespace and non-ASCII digits, so ``from_hex`` and the
+    command line's hex values check their text here first.
+    """
+    return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
 @dataclass(frozen=True)
-class Block:
-    """A 64-bit cipher block as a tuple of 16 nibbles m0..m15."""
+class _Nibbles:
+    """A string of ``SIZE`` nibbles; subclasses set ``SIZE`` and ``HEX_NAME``.
+
+    ``HEX_NAME`` names the type in :meth:`from_hex` errors.  Bit i of the
+    string is bit ``3 - i % 4`` of nibble ``i // 4``, as in the module docs.
+    """
+
+    SIZE: ClassVar[int]
+    HEX_NAME: ClassVar[str]
 
     nibbles: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "nibbles", _check_nibbles(self.nibbles, BLOCK_NIBBLES, "Block")
-        )
+        t = tuple(self.nibbles)
+        if len(t) != self.SIZE:
+            raise ValueError(f"{type(self).__name__} needs exactly {self.SIZE} nibbles, got {len(t)}")
+        for v in t:
+            if not 0 <= v <= 15:
+                raise ValueError(f"{type(self).__name__} contains {v}, not a nibble")
+        object.__setattr__(self, "nibbles", t)
+
+    @classmethod
+    def from_hex(cls, text: str):
+        if len(text) != cls.SIZE:
+            raise ValueError(f"{cls.HEX_NAME} hex needs {cls.SIZE} digits, got {len(text)}")
+        if not is_hex(text):
+            raise ValueError(f"{cls.HEX_NAME} hex takes ASCII hex digits only, got {text!r}")
+        return cls(tuple(int(ch, 16) for ch in text))
+
+    @classmethod
+    def zero(cls):
+        return cls((0,) * cls.SIZE)
+
+    def to_hex(self) -> str:
+        return "".join(f"{v:x}" for v in self.nibbles)
+
+    def bit(self, i: int) -> int:
+        """Bit i of the string (bit 0 = most significant bit of the first nibble)."""
+        return (self.nibbles[i >> 2] >> (3 - (i & 3))) & 1
+
+    def flip_bit(self, i: int):
+        nibs = list(self.nibbles)
+        nibs[i >> 2] ^= 1 << (3 - (i & 3))
+        return type(self)(tuple(nibs))
+
+
+class Block(_Nibbles):
+    """A 64-bit cipher block as a tuple of 16 nibbles m0..m15."""
+
+    SIZE = BLOCK_NIBBLES
+    HEX_NAME = "Block"
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Block":
@@ -92,112 +144,38 @@ class Block:
     def from_int(cls, value: int) -> "Block":
         if not 0 <= value < 1 << 64:
             raise ValueError("Block value outside 64 bits")
-        return cls(tuple((value >> (60 - 4 * i)) & 0xF for i in range(16)))
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Block":
-        if len(text) != 16:
-            raise ValueError(f"Block hex needs 16 digits, got {len(text)}")
-        return cls(tuple(int(ch, 16) for ch in text))
-
-    @classmethod
-    def zero(cls) -> "Block":
-        return cls((0,) * 16)
+        return cls.from_bytes(value.to_bytes(8, "big"))
 
     def to_bytes(self) -> bytes:
         n = self.nibbles
         return bytes((n[2 * j] << 4) | n[2 * j + 1] for j in range(8))
 
     def to_int(self) -> int:
-        v = 0
-        for nib in self.nibbles:
-            v = (v << 4) | nib
-        return v
-
-    def to_hex(self) -> str:
-        return "".join(f"{v:x}" for v in self.nibbles)
-
-    def bit(self, i: int) -> int:
-        """Bit i of the 64-bit string (bit 0 = most significant bit of m0)."""
-        return (self.nibbles[i >> 2] >> (3 - (i & 3))) & 1
-
-    def flip_bit(self, i: int) -> "Block":
-        nibs = list(self.nibbles)
-        nibs[i >> 2] ^= 1 << (3 - (i & 3))
-        return Block(tuple(nibs))
+        return int.from_bytes(self.to_bytes(), "big")
 
     def __xor__(self, other: "Block") -> "Block":
         return Block(tuple(a ^ b for a, b in zip(self.nibbles, other.nibbles)))
 
 
-@dataclass(frozen=True)
-class MasterKey:
+class MasterKey(_Nibbles):
     """128-bit master key, 32 nibbles k0..k31."""
 
-    nibbles: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "nibbles", _check_nibbles(self.nibbles, KEY_NIBBLES, "MasterKey")
-        )
-
-    @classmethod
-    def from_hex(cls, text: str) -> "MasterKey":
-        if len(text) != 32:
-            raise ValueError(f"key hex needs 32 digits, got {len(text)}")
-        return cls(tuple(int(ch, 16) for ch in text))
-
-    @classmethod
-    def zero(cls) -> "MasterKey":
-        return cls((0,) * 32)
-
-    def to_hex(self) -> str:
-        return "".join(f"{v:x}" for v in self.nibbles)
-
-    def flip_bit(self, i: int) -> "MasterKey":
-        nibs = list(self.nibbles)
-        nibs[i >> 2] ^= 1 << (3 - (i & 3))
-        return MasterKey(tuple(nibs))
+    SIZE = KEY_NIBBLES
+    HEX_NAME = "key"
 
 
-@dataclass(frozen=True)
-class Diversifier:
+class Diversifier(_Nibbles):
     """64-bit public key-schedule tweak v0..v15 (the key-mixing ``iv``)."""
 
-    nibbles: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "nibbles", _check_nibbles(self.nibbles, 16, "Diversifier")
-        )
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Diversifier":
-        if len(text) != 16:
-            raise ValueError(f"iv hex needs 16 digits, got {len(text)}")
-        return cls(tuple(int(ch, 16) for ch in text))
-
-    @classmethod
-    def zero(cls) -> "Diversifier":
-        return cls((0,) * 16)
-
-    def to_hex(self) -> str:
-        return "".join(f"{v:x}" for v in self.nibbles)
+    SIZE = 16
+    HEX_NAME = "iv"
 
 
-@dataclass(frozen=True)
-class MixedKeyState:
+class MixedKeyState(_Nibbles):
     """Output of key mixing: 64 nibbles a0..a63."""
 
-    nibbles: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "nibbles", _check_nibbles(self.nibbles, 64, "MixedKeyState")
-        )
-
-    def to_hex(self) -> str:
-        return "".join(f"{v:x}" for v in self.nibbles)
+    SIZE = 64
+    HEX_NAME = "MixedKeyState"
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,8 @@ from .special_functions import erfc, igamc, normal_cdf
 
 @dataclass(frozen=True)
 class TestResult:
+    __test__ = False  # a result record, not a pytest test class
+
     test: str
     p_values: tuple[float, ...]
     params: dict = field(default_factory=dict)

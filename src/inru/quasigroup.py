@@ -126,16 +126,7 @@ class Quasigroup:
 
     def e_right(self, leader: int, s: Sequence[int]) -> NibbleString:
         """Mirror of e_left, run from the last element leftwards."""
-        if not s:
-            raise ValueError("transformation input must be nonempty")
-        mul = self.mul_table
-        b = leader
-        out = []
-        for a in reversed(s):
-            b = mul[b][a]
-            out.append(b)
-        out.reverse()
-        return tuple(out)
+        return self.e_left(leader, s[::-1])[::-1]
 
     def d_left(self, leader: int, s: Sequence[int]) -> NibbleString:
         """Inverse of e_left: b0 = l \\ a0, bi = a(i-1) \\ ai."""
@@ -151,16 +142,7 @@ class Quasigroup:
 
     def d_right(self, leader: int, s: Sequence[int]) -> NibbleString:
         """Inverse of e_right: b_last = l \\ a_last, bi = a(i+1) \\ ai."""
-        if not s:
-            raise ValueError("transformation input must be nonempty")
-        ldiv = self.ldiv_table
-        prev = leader
-        out = []
-        for a in reversed(s):
-            out.append(ldiv[prev][a])
-            prev = a
-        out.reverse()
-        return tuple(out)
+        return self.d_left(leader, s[::-1])[::-1]
 
     def apply_chain(
         self,

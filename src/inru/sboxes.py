@@ -76,29 +76,27 @@ class Lat:
         return int(b.max())
 
 
+# Parity of every byte: sbox inputs and outputs have at most 8 bits.
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.int64)
+
+
 def build_ddt(s: SboxView) -> Ddt:
-    size = 1 << s.input_bits
+    size, osize = 1 << s.input_bits, 1 << s.output_bits
     table = np.array(s.table, dtype=np.int64)
-    counts = np.zeros((size, 1 << s.output_bits), dtype=np.int64)
-    x = np.arange(size)
-    for din in range(size):
-        dout = table[x] ^ table[x ^ din]
-        counts[din] = np.bincount(dout, minlength=1 << s.output_bits)
-    return Ddt(counts)
+    din = np.arange(size)[:, None]
+    x = np.arange(size)[None, :]
+    dout = table[x] ^ table[x ^ din]
+    counts = np.bincount((din * osize + dout).ravel(), minlength=size * osize)
+    return Ddt(counts.reshape(size, osize))
 
 
 def build_lat(s: SboxView) -> Lat:
-    size = 1 << s.input_bits
-    osize = 1 << s.output_bits
-    x = np.arange(size, dtype=np.uint32)
-    sx = np.array(s.table, dtype=np.uint32)
-    bias = np.zeros((size, osize), dtype=np.int64)
-    for a in range(size):
-        pa = np.bitwise_count(x & a) & 1
-        for b in range(osize):
-            pb = np.bitwise_count(sx & b) & 1
-            bias[a, b] = int((pa == pb).sum()) - size // 2
-    return Lat(bias)
+    """Each entry is half the correlation sum of two +-1 parity matrices."""
+    x = np.arange(1 << s.input_bits)
+    sx = np.array(s.table, dtype=np.int64)
+    signs_in = 1 - 2 * _PARITY[np.bitwise_and.outer(x, x)]  # [a, x]
+    signs_out = 1 - 2 * _PARITY[np.bitwise_and.outer(np.arange(1 << s.output_bits), sx)]  # [b, x]
+    return Lat((signs_in @ signs_out.T) // 2)
 
 
 def render_ddt(s: SboxView, ddt: Ddt) -> str:

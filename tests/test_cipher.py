@@ -105,6 +105,44 @@ def test_block_validation():
         RoundKeys((Block.zero(),) * 16)
 
 
+@pytest.mark.parametrize("cls, size, hex_name", [
+    (Block, 16, "Block"),
+    (MasterKey, 32, "key"),
+    (Diversifier, 16, "iv"),
+    (MixedKeyState, 64, None),  # never read from hex
+])
+def test_nibble_string_types_share_checks_and_hex(cls, size, hex_name):
+    name = cls.__name__
+    with pytest.raises(ValueError, match=f"^{name} needs exactly {size} nibbles, got {size - 1}$"):
+        cls((0,) * (size - 1))
+    with pytest.raises(ValueError, match=f"^{name} contains 16, not a nibble$"):
+        cls((0,) * (size - 1) + (16,))
+    with pytest.raises(ValueError, match=f"^{name} contains -1, not a nibble$"):
+        cls((-1,) + (0,) * (size - 1))
+    counting = cls(tuple(i % 16 for i in range(size)))
+    assert counting.to_hex() == "0123456789abcdef" * (size // 16)
+    assert cls(list(counting.nibbles)) == counting
+    if hex_name is None:
+        return
+    for digits in (size - 1, size + 1, 0):
+        with pytest.raises(ValueError, match=f"^{hex_name} hex needs {size} digits, got {digits}$"):
+            cls.from_hex("0" * digits)
+    assert cls.zero() == cls((0,) * size)
+    assert cls.from_hex(cls.zero().to_hex()) == cls.zero()
+    assert cls.from_hex(counting.to_hex().upper()) == counting
+
+
+def test_master_key_flip_bit_follows_the_block_bit_order():
+    key = MasterKey.zero()
+    for i, want in ((0, "8" + "0" * 31), (5, "04" + "0" * 30), (127, "0" * 31 + "1")):
+        assert key.flip_bit(i).to_hex() == want
+    for i in range(64):
+        flipped = key.flip_bit(i).to_hex()
+        assert flipped[16:] == "0" * 16
+        assert Block.from_hex(flipped[:16]).bit(i) == 1
+        assert Block.from_hex(flipped[:16]) == Block.zero().flip_bit(i)
+
+
 # -- round primitives ----------------------------------------------------------
 
 

@@ -132,6 +132,54 @@ def test_empty_mode_iv_or_nonce_is_usage_error(mode, flag, named, tmp_path, caps
     assert named in capsys.readouterr().err
 
 
+# int(text, 16) also reads a 0x prefix, _ separators, a sign and non-ASCII
+# digits; a hex field takes ASCII hex digits only.
+ARABIC_INDIC_THREE = "\u0663"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "ctr", "--nonce", "0x123456"],
+    ["--mode", "ctr", "--nonce", "1_2_3_45"],
+    ["--mode", "ctr", "--nonce", "+1234567"],
+    ["--mode", "ctr", "--nonce", " 1234567"],
+    ["--mode", "ctr", "--nonce", "1234567" + ARABIC_INDIC_THREE],
+    ["--mode", "cbc", "--mode-iv", "0x0123456789abcd"],
+    ["--mode", "cbc", "--mode-iv", "+123456789abcdef"],
+    ["--iv", "0123456789abcde" + ARABIC_INDIC_THREE],
+])
+def test_hex_flags_take_ascii_hex_digits_only(flags, tmp_path, capsys):
+    src, out = tmp_path / "msg", tmp_path / "o"
+    src.write_bytes(bytes(16))
+    rc = run_cli("encrypt", "--key", KEY, *flags, "--in", str(src), "--out", str(out))
+    assert rc == 2
+    assert "hex digit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keyschedule_rejects_non_ascii_digits(capsys):
+    assert run_cli("keyschedule", "--key", ARABIC_INDIC_THREE * 32) == 2
+    captured = capsys.readouterr()
+    assert "key hex" in captured.err
+    assert captured.out == ""
+
+
+def test_analyze_diff_prop_rejects_non_ascii_digits(capsys):
+    delta = "0" * 15 + ARABIC_INDIC_THREE
+    assert run_cli("analyze", "diff-prop", "--trials", "10", "--delta", delta) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_vectors_with_non_ascii_digits_fail_verification(tmp_path, capsys):
+    vf = tmp_path / "vec.txt"
+    run_cli("vectors", "generate", "--count", "3", "--seed", "2", "--out", str(vf))
+    text = vf.read_text()
+    assert "3" in text.splitlines()[1].split()[0]
+    vf.write_text(text.replace("3", ARABIC_INDIC_THREE))
+    capsys.readouterr()
+    assert run_cli("vectors", "verify", str(vf)) == 3
+    assert "hex digit" in capsys.readouterr().err
+
+
 def test_cbc_padding_none_round_trip(tmp_path):
     src, enc, dec = tmp_path / "msg", tmp_path / "ct", tmp_path / "pt"
     src.write_bytes(bytes(range(16)))
@@ -247,7 +295,11 @@ def test_analyze_ddt_and_lat(tmp_path):
 
 
 @pytest.mark.parametrize("instrument", ["ddt", "lat"])
-@pytest.mark.parametrize("leader, got", [("1f", "31"), ("-1", "-1"), ("10", "16")])
+@pytest.mark.parametrize("leader, got", [
+    ("1f", "31"), ("-1", "-1"), ("10", "16"),
+    # not hex digits: int(leader, 16) would read each as 1, 1, 16 and 3
+    ("0x1", "0x1"), ("+1", "+1"), ("1_0", "1_0"), (ARABIC_INDIC_THREE, ARABIC_INDIC_THREE),
+])
 def test_analyze_rejects_row_leaders_outside_the_square(instrument, leader, got, capsys):
     assert run_cli("analyze", instrument, "--view", "row", "--leader", leader) == 2
     captured = capsys.readouterr()
