@@ -16,6 +16,9 @@ is at most one mask, one ``|`` and one ``take``.  The byte methods
 round keys; the nibble views (``expand_keys``, ``encrypt``, ``decrypt``,
 ``trace_rounds``) take and return nibbles.  Every entry point rejects a
 wrong shape with a ValueError naming the shape it expects.
+:meth:`BatchCipher.encrypt_bytes` and :meth:`BatchCipher.decrypt_bytes`
+run on column slices of :data:`SLICE_BLOCKS` blocks, so beyond their
+input and output they hold one slice's temporaries whatever n is.
 :func:`tables` builds the tables once per quasigroup:
 
 * three round tables that fuse a round's chain with its diffusion scan;
@@ -50,6 +53,10 @@ import numpy as np
 from .quasigroup import INRU, Quasigroup
 
 NUM_ROUNDS = 16
+#: Blocks per column slice of :meth:`BatchCipher.encrypt_bytes` and
+#: :meth:`BatchCipher.decrypt_bytes`, which bounds their round temporaries;
+#: the command line reads its input in pieces of one slice.
+SLICE_BLOCKS = 16_384
 
 
 class Tables(NamedTuple):
@@ -175,6 +182,21 @@ def _round_key_rows(rks, n):
     if rks.ndim == 2:  # one schedule shared by the whole batch
         return rks[:, :, None]
     return np.ascontiguousarray(rks.transpose(1, 2, 0))
+
+
+def _slices(blocks, rks):
+    """(columns, (8, m) byte rows, round-key rows) per slice of (n, 8) uint8 blocks.
+
+    No blocks make one empty slice.  The rows are the caller's memory when
+    one slice covers a transposed view of contiguous rows, so they are
+    only read.
+    """
+    n = len(blocks)
+    rks = _shaped(rks, "round keys", (17, 8), (n, 17, 8))
+    for lo in range(0, max(n, 1), SLICE_BLOCKS):
+        cols = slice(lo, lo + SLICE_BLOCKS)
+        rows = np.ascontiguousarray(blocks[cols].T)
+        yield cols, rows, _round_key_rows(rks if rks.ndim == 2 else rks[cols], rows.shape[1])
 
 
 def _packed(blocks, rks):
@@ -307,7 +329,11 @@ class BatchCipher:
         l = _byte_rows(np.tile(np.arange(16, dtype=np.uint16), 34))
         l = np.repeat(l[:, None], n, axis=1)
         self._chain_passes(a, l)
-        return ((l[0::2] & 0xF0) | (l[1::2] >> 4)).astype(np.uint8).reshape(17, 8, n)
+        high, low = l[0::2], l[1::2]  # in place: l is thrown away
+        high &= 0xF0
+        low >>= 4
+        high |= low
+        return high.astype(np.uint8).reshape(17, 8, n)
 
     # -- block encryption ----------------------------------------------------
 
@@ -365,19 +391,20 @@ class BatchCipher:
     def encrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
         """Encrypt (n, 8) byte blocks (``Block.to_bytes``); ``rks`` is (17, 8) or (n, 17, 8) bytes.
 
-        Returns the (n, 8) ciphertext bytes as a transposed view of fresh
+        Runs the round loop on slices of :data:`SLICE_BLOCKS` blocks and
+        returns the (n, 8) ciphertext bytes as a transposed view of fresh
         memory.
         """
         blocks = _shaped(blocks, "blocks", (None, 8))
-        kb = _round_key_rows(rks, len(blocks))
-        # Keep only the last round's arrays while draining the loop.
-        rows = np.ascontiguousarray(blocks.T)
-        _, _, state = deque(self._rounds(rows, kb, rounds), maxlen=1)[0]
-        state ^= kb[rounds]
-        return state.T
+        out = np.empty((8, len(blocks)), dtype=np.uint8)
+        for cols, rows, kb in _slices(blocks, rks):
+            # Keep only the last round's arrays while draining the loop.
+            _, _, state = deque(self._rounds(rows, kb, rounds), maxlen=1)[0]
+            np.bitwise_xor(state, kb[rounds], out=out[:, cols])
+        return out.T
 
     def decrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Invert :meth:`encrypt_bytes` on (n, 8) byte blocks, returned as it returns them.
+        """Invert :meth:`encrypt_bytes` on (n, 8) byte blocks, sliced and returned as it does.
 
         Round i undiffuses, looks every adjacent pair of rows up in its
         division table (the leader in a ninth row), then xors its key.
@@ -385,25 +412,27 @@ class BatchCipher:
         if not 1 <= rounds <= NUM_ROUNDS:
             raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
         blocks = _shaped(blocks, "blocks", (None, 8))
-        kb = _round_key_rows(rks, len(blocks))
         t = self.tables
-        w = blocks.T ^ kb[rounds]
-        pairs = np.empty((9, w.shape[1]), dtype=np.uint16)
-        for i in range(rounds, 0, -1):
-            k = kb[i - 1]
-            if i & 1:  # d_left from the first nibble of the odd round's key
-                table = t.dleft
-                pairs[0] = k[0] >> 4
-                pairs[1:] = self._undiffuse_right(w)
-            else:  # d_right from the last nibble of the even round's key
-                table = t.dright
-                pairs[:8] = w if i == 16 else self._undiffuse_left(w)
-                pairs[8] = (k[7] & 15) << 4
-            idx = pairs[:-1] << 8
-            idx |= pairs[1:]
-            w = table.take(idx)
-            w ^= k
-        return w.T
+        out = np.empty((8, len(blocks)), dtype=np.uint8)
+        for cols, rows, kb in _slices(blocks, rks):
+            w = rows ^ kb[rounds]  # rows may be the caller's memory
+            pairs = np.empty((9, w.shape[1]), dtype=np.uint16)
+            for i in range(rounds, 0, -1):
+                k = kb[i - 1]
+                if i & 1:  # d_left from the first nibble of the odd round's key
+                    table = t.dleft
+                    pairs[0] = k[0] >> 4
+                    pairs[1:] = self._undiffuse_right(w)
+                else:  # d_right from the last nibble of the even round's key
+                    table = t.dright
+                    pairs[:8] = w if i == 16 else self._undiffuse_left(w)
+                    pairs[8] = (k[7] & 15) << 4
+                idx = pairs[:-1] << 8
+                idx |= pairs[1:]
+                w = table.take(idx)
+                w ^= k
+            out[:, cols] = w
+        return out.T
 
     def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
         """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles."""

@@ -9,9 +9,9 @@ of m0 and bit 63 the least significant bit of m15).
 The four value types (:class:`Block`, :class:`MasterKey`,
 :class:`Diversifier`, :class:`MixedKeyState`) are nibble strings of fixed
 length on one base, which owns their validation, hex form and bit
-indexing.  A hex form takes ASCII hex digits only (:func:`is_hex`).
-``Block`` adds the nibble/byte packing, and its 64-bit integer form goes
-through that packing.
+indexing.  A hex form takes ASCII hex digits only
+(:func:`inru.quasigroup.is_hex`).  ``Block`` adds the nibble/byte
+packing, and its 64-bit integer form goes through that packing.
 
 The key-schedule diversifier (``iv``) is a public 64-bit tweak, not a mode
 IV; it defaults to all-zero.  Leaders inside the key schedule are read from
@@ -57,24 +57,11 @@ from typing import Callable, ClassVar, Iterable
 import numpy as np
 
 from .batch import NUM_ROUNDS, BatchCipher, tables
-from .quasigroup import INRU, LEFT, RIGHT, Quasigroup
+from .quasigroup import INRU, LEFT, RIGHT, Quasigroup, is_hex
 
 BLOCK_NIBBLES = 16
 KEY_NIBBLES = 32
 NUM_ROUND_KEYS = 17
-
-
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-def is_hex(text: str) -> bool:
-    """True iff ``text`` is one or more ASCII hex digits.
-
-    ``int(text, 16)`` also reads a ``0x`` prefix, ``_`` separators, a sign,
-    surrounding whitespace and non-ASCII digits, so ``from_hex`` and the
-    command line's hex values check their text here first.
-    """
-    return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
 @dataclass(frozen=True)

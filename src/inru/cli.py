@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 usage or parameter errors, 3 data or verification
 failures (bad padding, mismatching vectors), 4 I/O problems.  Output files
 are written to a temporary sibling and renamed into place, so a failing
-run never leaves a partial file.  All randomness is drawn from a seedable
+run never leaves a partial file.  ``encrypt`` and ``decrypt`` stream their
+input through :class:`inru.modes.ModeStream` in pieces of one batch-engine
+slice (128 KiB), so memory does not grow with the file.  All randomness is drawn from a seedable
 generator (``--seed``), never the OS entropy pool, so every run with the
 same flags produces byte-identical output.
 """
@@ -14,6 +16,7 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -38,15 +41,18 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    _write_bytes(path, text.encode())
+    with _output_file(path) as fh:
+        fh.write(text.encode())
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+@contextmanager
+def _output_file(path: str):
+    """A binary file that replaces ``path`` on success and vanishes on any error."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,7 +64,8 @@ def _key_and_iv(args):
     """The --key and --iv values; a bad one is a usage error through ``main``."""
     from .cipher import Diversifier, MasterKey
 
-    return MasterKey.from_hex(args.key), Diversifier.from_hex(args.iv) if args.iv else None
+    iv = Diversifier.from_hex(args.iv) if args.iv is not None else None
+    return MasterKey.from_hex(args.key), iv
 
 
 class UsageError(Exception):
@@ -66,7 +73,7 @@ class UsageError(Exception):
 
 
 def _hex_int(text: str, digits: int, what: str) -> int:
-    from .cipher import is_hex
+    from .quasigroup import is_hex
 
     if len(text) != digits or not is_hex(text):
         raise UsageError(f"{what} must be {digits} hex digits, got {text!r}")
@@ -95,32 +102,41 @@ def _mode_config(args):
 
 
 def cmd_encrypt(args) -> int:
-    from .cipher import expand_key
-    from .modes import mode_encrypt
-
-    rk = expand_key(*_key_and_iv(args))
-    cfg = _mode_config(args)
-    data = _read_bytes(args.infile)
-    ct = mode_encrypt(cfg, rk, data)
-    _write_bytes(args.out, ct)
-    print(f"{(len(ct) + 7) // 8} blocks")
+    _, written = _run_mode(args, decrypt=False)
+    print(f"{(written + 7) // 8} blocks")
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
-    from .cipher import expand_key
-    from .modes import PaddingError, mode_decrypt
+    from .modes import PaddingError
 
-    rk = expand_key(*_key_and_iv(args))
-    cfg = _mode_config(args)
-    data = _read_bytes(args.infile)
     try:
-        pt = mode_decrypt(cfg, rk, data)
+        read, _ = _run_mode(args, decrypt=True)
     except PaddingError as e:
         raise DataError(f"decryption failed: {e}")
-    _write_bytes(args.out, pt)
-    print(f"{(len(data) + 7) // 8} blocks")
+    print(f"{(read + 7) // 8} blocks")
     return EXIT_OK
+
+
+def _run_mode(args, decrypt: bool) -> tuple[int, int]:
+    """Stream ``--in`` through the mode into ``--out``; returns (bytes read, bytes written).
+
+    The input is read in pieces of one batch-engine slice, so memory does
+    not grow with the file.
+    """
+    from .batch import SLICE_BLOCKS
+    from .cipher import expand_key
+    from .modes import BLOCK_BYTES, ModeStream
+
+    rk = expand_key(*_key_and_iv(args))
+    stream = ModeStream(_mode_config(args), rk, decrypt)
+    read = written = 0
+    with open(args.infile, "rb") as src, _output_file(args.out) as dst:
+        while piece := src.read(SLICE_BLOCKS * BLOCK_BYTES):
+            read += len(piece)
+            written += dst.write(stream.update(piece))
+        written += dst.write(stream.finalize())
+    return read, written
 
 
 def _read_bytes(path: str) -> bytes:
@@ -213,7 +229,7 @@ def cmd_analyze(args) -> int:
 
 def _sbox_view(args):
     """The sbox view that ``--view``, ``--leader`` and ``--square`` select."""
-    from .cipher import is_hex
+    from .quasigroup import is_hex
     from .sboxes import row_sbox, wide_sbox
 
     q = _load_quasigroup(args)

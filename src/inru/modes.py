@@ -8,8 +8,12 @@ CTR are stream-like and preserve message length.
 The CTR counter block is nonce (bits 0..31) followed by a 32-bit big-endian
 block counter starting at 0 (bits 32..63).
 
-Mode state (chaining value, counter position) lives on the stack of one
-call; distinct streams are independent and may run concurrently.
+:class:`ModeStream` is the one implementation of every mode: it takes a
+message in pieces of any size and keeps one block of mode state (chaining
+value, OFB feedback, counter position) between them, so its memory follows the
+size of a piece, not of the message.  :func:`mode_encrypt` and
+:func:`mode_decrypt` are one-shot views over it.  Distinct streams are
+independent and may run concurrently.
 """
 
 from __future__ import annotations
@@ -90,86 +94,137 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     return (a ^ np.frombuffer(stream, dtype=np.uint8, count=a.size)).tobytes()
 
 
-def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int) -> bytes:
-    if nblocks > _CTR_LIMIT:
-        raise ValueError(f"CTR stream of {nblocks} blocks exceeds the 2^32 counter space")
+def _ctr_keystream_bytes(cfg: ModeConfig, rk: RoundKeys, nblocks: int, start: int = 0) -> bytes:
+    """The encrypted counter blocks ``start`` .. ``start + nblocks - 1``."""
+    if start + nblocks > _CTR_LIMIT:
+        raise ValueError(f"CTR stream of {start + nblocks} blocks exceeds the 2^32 counter space")
     counters = np.empty((nblocks, 2), dtype=">u4")
     counters[:, 0] = cfg.nonce
-    counters[:, 1] = np.arange(nblocks, dtype=np.uint32)
+    counters[:, 1] = np.arange(start, start + nblocks, dtype=np.uint64)
     return BatchCipher().encrypt_bytes(counters.view(np.uint8), rk.key_bytes).tobytes()
 
 
-def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
-    """Encrypt a byte message under the configured mode.
+class ModeStream:
+    """One message encrypted or decrypted under a mode, fed in pieces.
 
-    The chained modes bind the scalar walk once per message; CTR runs on
-    the batch engine and binds none.
+    :meth:`update` returns the output of every block it can finish now and
+    :meth:`finalize` the rest; their concatenation does not depend on how
+    the message was split.  A partial block waits for the next update or
+    for finalize, and so does CBC decryption's last block under PKCS#7,
+    whose padding is checked only at finalize.  The stream carries one
+    block of state between updates (NIST SP 800-38A): the chaining value,
+    the OFB feedback or the CTR block counter.
+
+    The chained modes' sequential directions bind the scalar walk once
+    per stream.  CBC and CFB decryption need no chaining, so they run on
+    the batch engine, as CTR does: CBC as P_i = D(C_i) ^ C_(i-1), CFB as
+    P_i = C_i ^ E(C_(i-1)), with C_(-1) the mode IV.
+
+    Each step below takes whole blocks, or at finalize the partial block
+    of a stream mode.
     """
-    if cfg.mode == "cbc":
-        if cfg.padding == "pkcs7":
-            msg = pkcs7_pad(msg)
-        elif len(msg) % BLOCK_BYTES:
-            raise ValueError("CBC without padding needs a multiple of 8 bytes")
-        encrypt = int_encryptor(rk)
-        chain = cfg.mode_iv
+
+    def __init__(self, cfg: ModeConfig, rk: RoundKeys, decrypt: bool = False):
+        self.cfg, self.rk, self.decrypt = cfg, rk, decrypt
+        self._chain = 0 if cfg.mode == "ctr" else cfg.mode_iv
+        self._pending = b""
+        self._finished = False
+        self._holds_last = decrypt and cfg.mode == "cbc" and cfg.padding == "pkcs7"
+        if decrypt and cfg.mode in ("cbc", "cfb"):
+            self._step = self._cbc_decrypt if cfg.mode == "cbc" else self._cfb_decrypt
+        elif cfg.mode == "ctr":
+            self._step = self._ctr
+        else:
+            self._encrypt = int_encryptor(rk)
+            self._step = {"cbc": self._cbc_encrypt, "cfb": self._cfb_encrypt, "ofb": self._ofb}[cfg.mode]
+
+    def update(self, data: bytes) -> bytes:
+        if self._finished:
+            raise ValueError("update after finalize")
+        buf = self._pending + data
+        cut = len(buf) - len(buf) % BLOCK_BYTES
+        if self._holds_last and cut == len(buf):
+            cut = max(cut - BLOCK_BYTES, 0)
+        self._pending = buf[cut:]
+        return self._step(buf[:cut]) if cut else b""
+
+    def finalize(self) -> bytes:
+        if self._finished:
+            raise ValueError("finalize called twice")
+        self._finished = True
+        tail = self._pending
+        if self.cfg.mode == "cbc" and self.decrypt and len(tail) % BLOCK_BYTES:
+            raise PaddingError("CBC ciphertext length not a multiple of 8")
+        if self.cfg.mode == "cbc" and not self.decrypt:
+            if self.cfg.padding == "pkcs7":
+                tail = pkcs7_pad(tail)
+            elif tail:
+                raise ValueError("CBC without padding needs a multiple of 8 bytes")
+        out = self._step(tail) if tail else b""
+        return pkcs7_unpad(out) if self._holds_last else out
+
+    def _cbc_encrypt(self, data: bytes) -> bytes:
+        encrypt, chain = self._encrypt, self._chain
         out = []
-        for p in _block_ints(msg):
+        for p in _block_ints(data):
             chain = encrypt(p ^ chain)
             out.append(chain)
+        self._chain = chain
         return _ints_to_bytes(out)
 
-    if cfg.mode == "cfb":
-        encrypt = int_encryptor(rk)
-        chain = cfg.mode_iv
+    def _cbc_decrypt(self, data: bytes) -> bytes:
+        blocks = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_BYTES)
+        plain = BatchCipher().decrypt_bytes(blocks, self.rk.key_bytes)
+        out = _xor_bytes(plain.tobytes(), self._chain.to_bytes(BLOCK_BYTES, "big") + data)
+        self._chain = int.from_bytes(data[-BLOCK_BYTES:], "big")
+        return out
+
+    def _cfb_encrypt(self, data: bytes) -> bytes:
+        encrypt, chain = self._encrypt, self._chain
         out = []
-        for p in _block_ints(msg):
+        for p in _block_ints(data):
             chain = p ^ encrypt(chain)
             out.append(chain)
-        tail = msg[len(out) * BLOCK_BYTES :]
+        self._chain = chain
+        tail = data[len(out) * BLOCK_BYTES :]
         if tail:
             tail = _xor_bytes(tail, encrypt(chain).to_bytes(BLOCK_BYTES, "big"))
         return _ints_to_bytes(out) + tail
 
-    nblocks = (len(msg) + 7) // BLOCK_BYTES
-    if cfg.mode == "ofb":
-        encrypt = int_encryptor(rk)
-        feedback = cfg.mode_iv
+    def _cfb_decrypt(self, data: bytes) -> bytes:
+        nblocks = (len(data) + 7) // BLOCK_BYTES
+        prev = self._chain.to_bytes(BLOCK_BYTES, "big") + data
+        blocks = np.frombuffer(prev, dtype=np.uint8, count=nblocks * BLOCK_BYTES)
+        stream = BatchCipher().encrypt_bytes(blocks.reshape(nblocks, BLOCK_BYTES), self.rk.key_bytes)
+        self._chain = int.from_bytes(prev[-BLOCK_BYTES:], "big")
+        return _xor_bytes(data, stream.tobytes())
+
+    def _ofb(self, data: bytes) -> bytes:
+        encrypt, feedback = self._encrypt, self._chain
         ks = []
-        for _ in range(nblocks):
+        for _ in range((len(data) + 7) // BLOCK_BYTES):
             feedback = encrypt(feedback)
             ks.append(feedback)
-        return _xor_bytes(msg, _ints_to_bytes(ks))
+        self._chain = feedback
+        return _xor_bytes(data, _ints_to_bytes(ks))
 
-    # ctr
-    return _xor_bytes(msg, _ctr_keystream_bytes(cfg, rk, nblocks))
+    def _ctr(self, data: bytes) -> bytes:
+        nblocks = (len(data) + 7) // BLOCK_BYTES
+        stream = _ctr_keystream_bytes(self.cfg, self.rk, nblocks, self._chain)
+        self._chain += nblocks
+        return _xor_bytes(data, stream)
+
+
+def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
+    """Encrypt a byte message under the configured mode: one :class:`ModeStream`."""
+    stream = ModeStream(cfg, rk)
+    return stream.update(msg) + stream.finalize()
 
 
 def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
-    """Invert mode_encrypt, validating CBC padding.
-
-    CBC and CFB decryption need no chaining (NIST SP 800-38A), so both run
-    on the batch engine: CBC as P_i = D(C_i) ^ C_(i-1), CFB as
-    P_i = C_i ^ E(C_(i-1)), with C_(-1) the mode IV.
-    """
-    iv = cfg.mode_iv.to_bytes(BLOCK_BYTES, "big")
-    if cfg.mode == "cbc":
-        if len(ct) % BLOCK_BYTES:
-            raise PaddingError("CBC ciphertext length not a multiple of 8")
-        blocks = np.frombuffer(ct, dtype=np.uint8).reshape(-1, BLOCK_BYTES)
-        plain = BatchCipher().decrypt_bytes(blocks, rk.key_bytes)
-        out = _xor_bytes(plain.tobytes(), iv + ct)
-        if cfg.padding == "pkcs7":
-            return pkcs7_unpad(out)
-        return out
-
-    if cfg.mode == "cfb":
-        nblocks = (len(ct) + 7) // BLOCK_BYTES
-        prev = np.frombuffer(iv + ct, dtype=np.uint8, count=nblocks * BLOCK_BYTES)
-        stream = BatchCipher().encrypt_bytes(prev.reshape(nblocks, BLOCK_BYTES), rk.key_bytes)
-        return _xor_bytes(ct, stream.tobytes())
-
-    # OFB and CTR are their own inverses.
-    return mode_encrypt(cfg, rk, ct)
+    """Invert :func:`mode_encrypt`, validating CBC padding: one decrypting :class:`ModeStream`."""
+    stream = ModeStream(cfg, rk, decrypt=True)
+    return stream.update(ct) + stream.finalize()
 
 
 def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.ndarray:

@@ -4,6 +4,10 @@ A quasigroup of order n is stored as its n x n multiplication table together
 with precomputed left- and right-division tables, so every operation is an
 O(1) lookup.  Bit conventions for order-16 elements: bit 0 of a nibble is the
 most significant bit (value 8).
+
+Hex text anywhere in the package (square files here, and the key, block
+and command-line values of :mod:`inru.cipher` and :mod:`inru.cli`) takes
+ASCII hex digits only, checked by :func:`is_hex`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,19 @@ INRU_ROWS = (
     "d 8 6 b 4 f 3 c e 5 9 0 a 7 2 1",
     "c 5 a 3 e 2 b d 4 8 0 9 6 1 f 7",
 )
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def is_hex(text: str) -> bool:
+    """True iff ``text`` is one or more ASCII hex digits.
+
+    ``int(text, 16)`` also reads a ``0x`` prefix, ``_`` separators, a sign,
+    surrounding whitespace and non-ASCII digits, so hex text is checked
+    here before it is parsed.
+    """
+    return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
 class LatinSquareError(ValueError):
@@ -295,13 +312,13 @@ def parse_square(text: str) -> list[list[int]]:
     """Parse the 16-lines-of-16-hex-digits table format (# comments allowed)."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        try:
-            rows.append([int(tok, 16) for tok in line.split()])
-        except ValueError:
-            raise LatinSquareError(f"line {lineno}: not hex digits: {line!r}")
+        for tok in tokens:
+            if not is_hex(tok):
+                raise LatinSquareError(f"line {lineno}: not hex digits: {tok!r}")
+        rows.append([int(tok, 16) for tok in tokens])
     return rows
 
 

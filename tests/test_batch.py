@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import straightline as ora
 
-from inru.batch import BatchCipher
+from inru.batch import SLICE_BLOCKS, BatchCipher
 from inru.cipher import (
     Block,
     Diversifier,
@@ -13,6 +13,7 @@ from inru.cipher import (
     encrypt_block,
     encrypt_int,
     expand_key,
+    int_encryptor,
 )
 from inru.quasigroup import INRU, Quasigroup, conjugate
 
@@ -328,3 +329,43 @@ def test_entry_points_name_the_shape_they_expect(engine, method, shapes, expecte
     args = [np.zeros(shape, dtype=np.uint8) for shape in shapes]
     with pytest.raises(ValueError, match=re.escape(expected)):
         list(getattr(engine, method)(*args))  # list() runs the trace_rounds generator
+
+
+def _nibbles_of(data) -> list[int]:
+    return [v for b in bytes(data) for v in (b >> 4, b & 15)]
+
+
+@pytest.mark.parametrize("n", [SLICE_BLOCKS - 1, SLICE_BLOCKS, SLICE_BLOCKS + 1, 2 * SLICE_BLOCKS + 7])
+@pytest.mark.parametrize("shared", [True, False])
+def test_sliced_engine_matches_scalar_and_oracle_across_slice_boundaries(engine, n, shared):
+    # Columns on both sides of every slice boundary, and a few inside, are
+    # checked against the scalar walk and the straight-line oracle.
+    rng = np.random.default_rng(n + shared)
+    blocks = rng.integers(0, 256, size=(n, 8), dtype=np.uint8)
+    rks = rng.integers(0, 256, size=(17, 8) if shared else (n, 17, 8), dtype=np.uint8)
+    ct = engine.encrypt_bytes(blocks, rks)
+    pt = engine.decrypt_bytes(blocks, rks)
+    assert ct.shape == pt.shape == (n, 8)
+    edges = {lo + d for lo in range(0, n + 1, SLICE_BLOCKS) for d in (-1, 0)}
+    picks = {0, n - 1, *rng.choice(n, 3, replace=False).tolist(), *(c for c in edges if 0 <= c < n)}
+    for c in sorted(picks):
+        rk_rows = rks if shared else rks[c]
+        rk = RoundKeys(tuple(Block.from_bytes(bytes(row)) for row in rk_rows))
+        oracle_rks = [_nibbles_of(row) for row in rk_rows]
+        x = int.from_bytes(bytes(blocks[c]), "big")
+        assert int.from_bytes(bytes(ct[c]), "big") == int_encryptor(rk)(x)
+        assert _nibbles_of(ct[c]) == ora.ora_encrypt(_nibbles_of(blocks[c]), oracle_rks)
+        assert _nibbles_of(pt[c]) == ora.ora_decrypt(_nibbles_of(blocks[c]), oracle_rks)
+    assert np.array_equal(engine.decrypt_bytes(ct, rks), blocks)
+    assert np.array_equal(engine.encrypt_bytes(pt, rks), blocks)
+
+
+def test_decrypt_bytes_leaves_a_transposed_row_view_untouched(engine):
+    # encrypt_bytes returns a transposed view of contiguous rows; a single
+    # slice of it is those rows themselves, which decryption must only read.
+    rng = np.random.default_rng(61)
+    rks = rng.integers(0, 256, size=(17, 8), dtype=np.uint8)
+    ct = engine.encrypt_bytes(rng.integers(0, 256, size=(100, 8), dtype=np.uint8), rks)
+    before = ct.copy()
+    engine.decrypt_bytes(ct, rks)
+    assert np.array_equal(ct, before)

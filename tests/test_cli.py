@@ -2,10 +2,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import inru.modes
+from inru.batch import SLICE_BLOCKS
 from inru.cli import main
 
 KEY = "000102030405060708090a0b0c0d0e0f"
@@ -88,6 +91,85 @@ def test_empty_cbc_ciphertext_is_named_data_error(tmp_path, capsys):
     assert "ciphertext is empty; PKCS#7 needs at least one block" in err
     assert "whole number" not in err
     assert not out.exists()
+
+
+# Each error reaches ModeStream.finalize after whole pieces of output were
+# written to the temporary file (the empty ciphertext is the test above).
+PIECE = SLICE_BLOCKS * 8
+
+
+@pytest.mark.parametrize("plain, ct_bytes, padding, message", [
+    (bytes(2 * PIECE + 8), None, "pkcs7", "bad padding bytes"),  # last plaintext byte 0
+    (None, bytes(2 * PIECE + 3), "none", "CBC ciphertext length not a multiple of 8"),
+    (None, bytes(2 * PIECE + 3), "pkcs7", "CBC ciphertext length not a multiple of 8"),
+])
+def test_cbc_errors_at_finalize_keep_message_and_exit_code(plain, ct_bytes, padding, message,
+                                                           tmp_path, capsys):
+    enc = tmp_path / "ct"
+    if plain is None:
+        enc.write_bytes(ct_bytes)
+    else:  # a valid CBC ciphertext whose plaintext is not PKCS#7 padded
+        (tmp_path / "msg").write_bytes(plain)
+        assert run_cli("encrypt", "--key", KEY, "--mode", "cbc", "--padding", "none",
+                       "--in", str(tmp_path / "msg"), "--out", str(enc)) == 0
+        capsys.readouterr()
+    inputs = sorted(tmp_path.iterdir())
+    rc = run_cli("decrypt", "--key", KEY, "--mode", "cbc", "--padding", padding,
+                 "--in", str(enc), "--out", str(tmp_path / "pt"))
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: decryption failed: {message}\n"
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_ctr_counter_exhaustion_mid_file_leaves_no_output(monkeypatch, tmp_path, capsys):
+    # A counter space of one piece and 5 blocks stands in for 2^32 blocks:
+    # the first piece is written, the second exhausts the counter.
+    monkeypatch.setattr(inru.modes, "_CTR_LIMIT", SLICE_BLOCKS + 5)
+    src, out = tmp_path / "msg", tmp_path / "ct"
+    src.write_bytes(bytes(2 * PIECE))
+    rc = run_cli("encrypt", "--key", KEY, "--mode", "ctr", "--in", str(src), "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: CTR stream of {2 * SLICE_BLOCKS} blocks exceeds the 2^32 counter space\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["msg"]
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, mode_flags", [
+    ("encrypt", ["--mode", "ctr"]),
+    ("decrypt", ["--mode", "cbc", "--padding", "none"]),
+])
+def test_encrypt_and_decrypt_stream_in_bounded_memory(command, mode_flags, tmp_path):
+    peaks = []
+    for mib in (1, 4):
+        src = tmp_path / f"in{mib}"
+        src.write_bytes(os.urandom(mib << 20))
+        peaks.append(_traced_peak([command, "--key", KEY, *mode_flags,
+                                   "--in", str(src), "--out", str(tmp_path / f"out{mib}")]))
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "--in", "msg", "--out", "o"],
+    ["decrypt", "--in", "msg", "--out", "o"],
+    ["keyschedule"],
+])
+def test_empty_iv_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "msg").write_bytes(bytes(16))
+    assert run_cli(*argv, "--key", KEY, "--iv=") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: iv hex needs 16 digits, got 0\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["msg"]
 
 
 def test_bad_hex_is_usage_error(tmp_path):
@@ -321,6 +403,21 @@ def test_analyze_diff_prop(capsys):
     out = capsys.readouterr().out
     assert "activation frequency" in out
     assert " 1.000" in out
+
+
+@pytest.mark.parametrize("token", ["0x5", "+5", "0_5"])
+def test_square_tokens_take_ascii_hex_digits_only(token, tmp_path, capsys):
+    # int(token, 16) reads each of these as 5, the square's first entry.
+    from inru.quasigroup import INRU, format_square
+
+    text = format_square(INRU.mul_table)
+    assert text.startswith("5 ")
+    square = tmp_path / "square.txt"
+    square.write_text(token + text[1:])
+    assert run_cli("analyze", "qg-check", "--square", str(square)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad square file: line 1: not hex digits: {token!r}\n"
+    assert captured.out == ""
 
 
 def test_square_file_that_is_not_ascii_is_data_error(tmp_path, capsys):

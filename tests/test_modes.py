@@ -1,15 +1,20 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import inru.modes
+
 import straightline as ora
 from inru.cipher import Block, MasterKey, encrypt_block, expand_key
 from inru.modes import (
     ModeConfig,
+    ModeStream,
     PaddingError,
+    _ctr_keystream_bytes,
     cipher_stream,
     keystream,
     mode_decrypt,
@@ -213,7 +218,98 @@ def test_keystream_rejects_nonpositive():
 
 def test_ctr_counter_space_limit():
     cfg = ModeConfig("ctr")
-    from inru.modes import _ctr_keystream_bytes
 
     with pytest.raises(ValueError, match="2\\^32"):
         _ctr_keystream_bytes(cfg, RK, (1 << 32) + 1)
+
+
+def _pieces(data: bytes, sizes: list[int]) -> list[bytes]:
+    """``data`` cut into pieces of ``sizes`` (empty once it runs out), then the rest."""
+    cuts = np.cumsum([0, *sizes]).clip(max=len(data)).tolist() + [len(data)]
+    return [data[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _streamed(stream: ModeStream, pieces: list[bytes], holds_last: bool) -> bytes:
+    out, fed = b"", 0
+    for piece in pieces:
+        out += stream.update(piece)
+        fed += len(piece)
+        # What waits is a partial block, or CBC decryption's last block.
+        assert fed - len(out) < 8 or (holds_last and fed - len(out) == 8)
+    return out + stream.finalize()
+
+
+# Piece sizes from 0 to 17 bytes: empty and 1-byte updates, cuts inside a
+# block and updates longer than a block.
+_SPLITS = st.lists(st.integers(0, 17), max_size=12)
+_CONFIGS = [("cbc", "pkcs7"), ("cbc", "none"), ("cfb", "pkcs7"), ("ofb", "pkcs7"), ("ctr", "pkcs7")]
+
+
+@pytest.mark.parametrize("mode, padding", _CONFIGS)
+@settings(max_examples=40, deadline=None)
+@given(msg=st.binary(max_size=70), sizes=_SPLITS)
+def test_streamed_pieces_equal_the_one_shot_result(mode, padding, msg, sizes):
+    if padding == "none":
+        msg = msg[: len(msg) // 8 * 8]
+    cfg = ModeConfig(mode, mode_iv=0x0123456789ABCDEF, nonce=0xDEADBEEF, padding=padding)
+    ct = mode_encrypt(cfg, RK, msg)
+    assert _streamed(ModeStream(cfg, RK), _pieces(msg, sizes), False) == ct
+    holds_last = mode == "cbc" and padding == "pkcs7"
+    assert _streamed(ModeStream(cfg, RK, decrypt=True), _pieces(ct, sizes), holds_last) == msg
+
+
+@pytest.mark.parametrize("data, padding, message", [
+    (b"", "pkcs7", "ciphertext is empty; PKCS#7 needs at least one block"),
+    (bytes(13), "pkcs7", "CBC ciphertext length not a multiple of 8"),
+    (bytes(13), "none", "CBC ciphertext length not a multiple of 8"),
+])
+def test_cbc_decryption_checks_length_and_padding_at_finalize(data, padding, message):
+    stream = ModeStream(ModeConfig("cbc", padding=padding), RK, decrypt=True)
+    for byte in data:
+        stream.update(bytes([byte]))
+    with pytest.raises(PaddingError, match=re.escape(message)):
+        stream.finalize()
+
+
+def test_cbc_decryption_holds_back_its_last_block_until_finalize():
+    cfg = ModeConfig("cbc", mode_iv=5)
+    msg = bytes(range(20))
+    ct = mode_encrypt(cfg, RK, msg)  # 24 bytes
+    bad = ct[:-1] + bytes([ct[-1] ^ 1])  # the padding no longer checks
+    stream = ModeStream(cfg, RK, decrypt=True)
+    assert stream.update(bad) == msg[:16]
+    with pytest.raises(PaddingError, match="bad padding bytes"):
+        stream.finalize()
+
+
+def test_stream_is_single_use():
+    stream = ModeStream(ModeConfig("ctr"), RK)
+    stream.finalize()
+    with pytest.raises(ValueError, match="after finalize"):
+        stream.update(b"x")
+    with pytest.raises(ValueError, match="twice"):
+        stream.finalize()
+
+
+def test_ctr_keystream_continues_from_a_start_counter():
+    cfg = ModeConfig("ctr", nonce=0xCAFEBABE)
+    whole = _ctr_keystream_bytes(cfg, RK, 5)
+    assert _ctr_keystream_bytes(cfg, RK, 3, start=2) == whole[16:]
+    top = (1 << 32) - 1  # the last counter value fits the 32-bit field
+    block = Block.from_int(0xCAFEBABE << 32 | top)
+    assert _ctr_keystream_bytes(cfg, RK, 1, start=top) == encrypt_block(block, RK).to_bytes()
+    with pytest.raises(ValueError, match="CTR stream of 4294967297 blocks exceeds the 2\\^32"):
+        _ctr_keystream_bytes(cfg, RK, 2, start=top)
+
+
+def test_ctr_counter_exhaustion_mid_stream_raises_before_output(monkeypatch):
+    # A 20-block counter space stands in for 2^32 blocks.
+    monkeypatch.setattr(inru.modes, "_CTR_LIMIT", 20)
+    stream = ModeStream(ModeConfig("ctr"), RK)
+    assert len(stream.update(bytes(8 * 16 + 3))) == 8 * 16
+    with pytest.raises(ValueError, match="CTR stream of 21 blocks exceeds the 2\\^32"):
+        stream.update(bytes(8 * 5))
+    stream = ModeStream(ModeConfig("ctr"), RK)
+    assert len(stream.update(bytes(8 * 20 + 1))) == 8 * 20
+    with pytest.raises(ValueError, match="CTR stream of 21 blocks"):
+        stream.finalize()  # the partial block would need a 21st counter
