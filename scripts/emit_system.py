@@ -3,18 +3,21 @@
 
 import argparse
 
-from inru.algsys import count_system_size, emit_algebraic_system
+from arg_types import round_count
+from inru.algsys import emit_algebraic_system
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("rounds", type=int)
+    ap.add_argument("rounds", type=round_count)
     ap.add_argument("out", help="output file, one polynomial per line")
     args = ap.parse_args()
 
-    nonlinear, unknowns = count_system_size(args.rounds)
+    system = emit_algebraic_system(args.rounds)
+    nonlinear = len(system.nonlinear_equations())
+    unknowns = system.count_after_linear_elimination()
     with open(args.out, "w") as fh:
-        fh.write(emit_algebraic_system(args.rounds).render())
+        fh.write(system.render())
     print(f"{args.rounds} round(s): {nonlinear} nonlinear equations,"
           f" {unknowns} unknowns after linear elimination -> {args.out}")
 

@@ -9,16 +9,17 @@ plus the same summary for the pooled 64x64 dependence matrix.
 import argparse
 import time
 
+from arg_types import positive_int, round_count
 from inru.experiments import avalanche_plaintext, render_ranges, sac_matrix
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=10_000)
-    ap.add_argument("--keys", type=int, default=6)
-    ap.add_argument("--rounds", type=int, default=16)
+    ap.add_argument("--trials", type=positive_int, default=10_000)
+    ap.add_argument("--keys", type=positive_int, default=6)
+    ap.add_argument("--rounds", type=round_count, default=16)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=positive_int, default=1)
     args = ap.parse_args()
 
     t0 = time.perf_counter()

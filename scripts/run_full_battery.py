@@ -5,25 +5,23 @@ Runs the ten tests over CBC, CFB, OFB and CTR keystreams for both the
 all-zeros and all-ones constant plaintext, printing one table per
 mode/input combination plus the machine-readable summary lines, whose
 last column is ``passed/applicable``: the sequences that passed a test
-over those it applies to.  A single-job run took 1 min 27 s on a 2-core
-Intel Xeon VM (Python 3.11, numpy 2.4), 12-15 s per CBC/CFB/OFB table
-and 5-6 s per CTR table; use --jobs to parallelize across keys.  Per-table
-wall times go to stderr, so the seeded stdout is byte-identical.
+over those it applies to.  --jobs spreads the keys over worker processes;
+each worker encrypts a key's stream and runs the ten tests on it, and the
+results fold in key order, so stdout is the same for every --jobs.  On a
+2-core Intel Xeon VM (Python 3.11, numpy 2.4) with a drifting load, two
+single-job runs took 1 min 37 s and 2 min 16 s (13-22 s per CBC/CFB/OFB
+table, 7-11 s per CTR table) and two --jobs 2 runs 1 min 1 s and 1 min
+5 s (6-11 s and 5-6 s).  Per-table wall times go to stderr, so the seeded
+stdout is byte-identical.
 """
 
 import argparse
 import sys
 import time
 
+from arg_types import positive_int
 from inru.battery import nist_experiment
 from inru.modes import MODES
-
-
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def main():

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .anf import coordinate_anf
+from .batch import check_rounds
 from .cipher import Block, RoundKeys, encrypt_block_traced
 from .quasigroup import INRU, Quasigroup
 
@@ -122,8 +123,7 @@ def _substituted_sbox_equation(
 
 def emit_algebraic_system(rounds: int, q: Quasigroup = INRU) -> AlgebraicSystem:
     """Build the polynomial system of a ``rounds``-round encryption."""
-    if not 1 <= rounds <= 16:
-        raise ValueError("rounds must be in 1..16")
+    check_rounds(rounds)
     coord = [coordinate_anf(q, i).monomials for i in range(4)]
     variables: list[str] = [f"x{i}" for i in range(64)]
     equations: list[Equation] = []

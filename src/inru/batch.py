@@ -53,6 +53,14 @@ import numpy as np
 from .quasigroup import INRU, Quasigroup
 
 NUM_ROUNDS = 16
+
+
+def check_rounds(rounds: int) -> None:
+    """Raise ValueError unless ``rounds`` is a round count of the cipher."""
+    if not 1 <= rounds <= NUM_ROUNDS:
+        raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
+
+
 #: Blocks per column slice of :meth:`BatchCipher.encrypt_bytes` and
 #: :meth:`BatchCipher.decrypt_bytes`, which bounds their round temporaries;
 #: the command line reads its input in pieces of one slice.
@@ -344,8 +352,7 @@ class BatchCipher:
         ends with the conditional complement.  ``state`` is only read;
         every yielded array is fresh and never modified later.
         """
-        if not 1 <= rounds <= NUM_ROUNDS:
-            raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
+        check_rounds(rounds)
         t = self.tables
         idx = np.empty(state.shape[1], dtype=np.uint16)
         for i in range(1, rounds + 1):
@@ -409,8 +416,7 @@ class BatchCipher:
         Round i undiffuses, looks every adjacent pair of rows up in its
         division table (the leader in a ninth row), then xors its key.
         """
-        if not 1 <= rounds <= NUM_ROUNDS:
-            raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
+        check_rounds(rounds)
         blocks = _shaped(blocks, "blocks", (None, 8))
         t = self.tables
         out = np.empty((8, len(blocks)), dtype=np.uint8)

@@ -17,12 +17,12 @@ that applies to no sequence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cipher import MasterKey, expand_key
+from .experiments import run_units
 from .modes import ModeConfig, cipher_stream
 from .nist_tests import ALL_TESTS, TEST_NAMES, TestResult
 
@@ -148,29 +148,33 @@ class TestReport:
         return "\n".join(out) + "\n"
 
 
+def _test_sequence(bits: np.ndarray) -> tuple[TestResult, ...]:
+    """The ten tests on one sequence, in ``ALL_TESTS`` order."""
+    return tuple(fn(bits) for fn in ALL_TESTS.values())
+
+
+def _report(rows: list[tuple[TestResult, ...]], alpha: float, **labels) -> TestReport:
+    """Fold per-sequence result tuples, in sequence order, into one record per test."""
+    records = tuple(TestRecord(t, dict(rs[0].params), rs) for t, rs in zip(ALL_TESTS, zip(*rows)))
+    return TestReport(records, len(rows), alpha, **labels)
+
+
 def run_battery(
-    sequences: list[BitSequence] | list[np.ndarray],
-    alpha: float = DEFAULT_ALPHA,
-    tests: dict | None = None,
+    sequences: list[BitSequence] | list[np.ndarray], alpha: float = DEFAULT_ALPHA
 ) -> TestReport:
     """Run every test on every sequence."""
     if not sequences:
         raise ValueError("run_battery needs at least one sequence")
-    tests = ALL_TESTS if tests is None else tests
-    arrays = [s.bits() if isinstance(s, BitSequence) else np.asarray(s, np.uint8) for s in sequences]
-    records = []
-    for tid, fn in tests.items():
-        results = tuple(fn(a) for a in arrays)
-        records.append(TestRecord(tid, dict(results[0].params), results))
-    return TestReport(tuple(records), len(arrays), alpha)
+    arrays = (s.bits() if isinstance(s, BitSequence) else s for s in sequences)
+    return _report([_test_sequence(np.asarray(a, np.uint8)) for a in arrays], alpha)
 
 
-def _one_key_sequence(args) -> bytes:
+def _one_key_results(args) -> tuple[TestResult, ...]:
+    """One work unit: a key's ciphertext stream and the ten tests on it."""
     mode, mode_iv, nonce, key_hex, fill, nbits = args
     cfg = ModeConfig(mode, mode_iv=mode_iv, nonce=nonce, padding="none")
     rk = expand_key(MasterKey.from_hex(key_hex))
-    bits = cipher_stream(cfg, rk, fill, nbits)
-    return np.packbits(bits).tobytes()
+    return _test_sequence(cipher_stream(cfg, rk, fill, nbits))
 
 
 def nist_experiment(
@@ -187,14 +191,13 @@ def nist_experiment(
     Sequences are the ciphertexts of the constant all-zeros or all-ones
     message.  ``mode`` is a mode name; each key's mode IV and nonce are
     drawn from the same seeded generator as the keys, so a (seed, mode,
-    fill) triple fully determines the report.
+    fill) triple fully determines the report.  A key's stream and its ten
+    tests are one work unit, folded in key order whatever ``jobs`` is.
     """
     if input_fill not in ("zeros", "ones"):
         raise ValueError("input_fill must be 'zeros' or 'ones'")
     if keys < 1:
         raise ValueError("keys must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     fill = 0x00 if input_fill == "zeros" else 0xFF
     rng = np.random.default_rng(seed)
     units = []
@@ -203,16 +206,8 @@ def nist_experiment(
         mode_iv = int(rng.integers(0, 1 << 63)) * 2 + int(rng.integers(0, 2))
         nonce = int(rng.integers(0, 1 << 32))
         units.append((mode, mode_iv, nonce, key_hex, fill, bits_per_seq))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            packed = list(pool.map(_one_key_sequence, units))
-    else:
-        packed = [_one_key_sequence(u) for u in units]
-    seqs = [BitSequence(p[: (bits_per_seq + 7) // 8], bits_per_seq) for p in packed]
-    report = run_battery(seqs, alpha)
-    return TestReport(
-        report.records,
-        report.n_sequences,
+    return _report(
+        run_units(_one_key_results, units, jobs),
         alpha,
         mode=mode,
         input_fill=input_fill,

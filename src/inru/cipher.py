@@ -56,7 +56,7 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .batch import NUM_ROUNDS, BatchCipher, tables
+from .batch import NUM_ROUNDS, BatchCipher, check_rounds, tables
 from .quasigroup import INRU, LEFT, RIGHT, Quasigroup, is_hex
 
 BLOCK_NIBBLES = 16
@@ -276,8 +276,7 @@ def int_encryptor(
     round into the whitening key; the block is packed back into an int
     only on exit.
     """
-    if not 1 <= rounds <= NUM_ROUNDS:
-        raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
+    check_rounds(rounds)
     odd, even, last = _round_table_rows(q)
     keys = rk.ints
     plan = []

@@ -2,9 +2,9 @@
 
 All experiments draw their randomness from a seeded generator so runs are
 reproducible; heavy ones accept a ``jobs`` argument and farm fixed per-key
-work units out to a process pool.  Work units and their sub-seeds depend
-only on the experiment seed, and results merge by accumulation in unit
-order, so the output is identical for every jobs value.
+work units out through :func:`run_units`, as the battery does.  Units and
+their sub-seeds depend only on the experiment seed, and results merge in
+unit order, so the output is identical for every jobs value.
 
 The avalanche units run on the batch engine's byte methods: string bit
 b is bit 7 - (b mod 8) of byte b // 8, so they flip bits as bytes and
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BatchCipher, _byte_rows
+from .batch import BatchCipher, _byte_rows, check_rounds
 from .cipher import Block, MasterKey, expand_key
 
 
@@ -37,6 +37,16 @@ class QuantileRanges:
             return (float(lo), float(hi))
 
         return cls(rng(95), rng(98), rng(99))
+
+
+def run_units(fn, units: list, jobs: int) -> list:
+    """``[fn(u) for u in units]``, computed on ``jobs`` processes, in unit order."""
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    if jobs == 1:
+        return [fn(u) for u in units]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, units))
 
 
 # -- difference propagation ---------------------------------------------------
@@ -67,8 +77,7 @@ def diff_propagation_experiment(
     """
     if delta.to_int() == 0:
         raise ValueError("the input difference must be nonzero")
-    if not 1 <= rounds <= 16:
-        raise ValueError("rounds must be in 1..16")
+    check_rounds(rounds)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
@@ -124,8 +133,6 @@ def _run_flip_units(trials, keys, rounds, seed, jobs):
     """
     if keys < 1:
         raise ValueError("keys must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     rng = np.random.default_rng(seed)
     key_nibbles = rng.integers(0, 16, size=(keys, 32), dtype=np.uint8)
     sub_seeds = rng.integers(0, 2**63, size=keys)
@@ -135,11 +142,7 @@ def _run_flip_units(trials, keys, rounds, seed, jobs):
         for i in range(keys)
         if counts[i]
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_flip_unit, units))
-    else:
-        results = [_flip_unit(u) for u in units]
+    results = run_units(_flip_unit, units, jobs)
     flip_counts = sum(r[0] for r in results)
     unit_means = np.concatenate([r[1] for r in results])
     return flip_counts, unit_means, len(units)

@@ -12,7 +12,7 @@ ASCII hex digits only, checked by :func:`is_hex`.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 NibbleString = tuple[int, ...]
 
@@ -336,9 +336,5 @@ def save_square(q: Quasigroup, path) -> None:
         fh.write(format_square(q.mul_table))
 
 
-def _rows_from_strings(rows: Iterable[str]) -> list[list[int]]:
-    return [[int(tok, 16) for tok in row.split()] for row in rows]
-
-
 #: The cipher's built-in order-16 quasigroup.
-INRU = Quasigroup(_rows_from_strings(INRU_ROWS))
+INRU = Quasigroup(parse_square("\n".join(INRU_ROWS)))

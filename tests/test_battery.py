@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,10 +114,36 @@ def test_nist_experiment_deterministic_and_seed_sensitive():
 
 
 def test_nist_experiment_jobs_deterministic():
-    a = nist_experiment("cbc", input_fill="ones", keys=2, bits_per_seq=1 << 16, seed=7, jobs=1)
-    b = nist_experiment("cbc", input_fill="ones", keys=2, bits_per_seq=1 << 16, seed=7, jobs=2)
-    for r1, r2 in zip(a.records, b.records):
-        assert [x.p_values for x in r1.results] == [x.p_values for x in r2.results]
+    for mode in ("cbc", "cfb", "ofb", "ctr"):
+        for fill in ("zeros", "ones"):
+            a = nist_experiment(mode, input_fill=fill, keys=2, bits_per_seq=1 << 16, seed=7, jobs=1)
+            b = nist_experiment(mode, input_fill=fill, keys=2, bits_per_seq=1 << 16, seed=7, jobs=2)
+            assert a.machine_lines() == b.machine_lines(), (mode, fill)
+            for r1, r2 in zip(a.records, b.records):
+                assert [x.p_values for x in r1.results] == [x.p_values for x in r2.results]
+
+
+def test_nist_experiment_memory_does_not_grow_with_keys():
+    # Each key's stream is tested and dropped inside its work unit, so
+    # the peak is one unit's, however many keys there are.
+    def peak(keys):
+        tracemalloc.start()
+        try:
+            nist_experiment("cbc", keys=keys, bits_per_seq=1 << 18, jobs=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    nist_experiment("cbc", keys=1, bits_per_seq=1 << 18)  # build the cached tables first
+    assert peak(8) - peak(2) < 0.5 * 2**20
+
+
+def test_run_battery_takes_bit_sequences_and_arrays_alike():
+    rng = np.random.default_rng(2)
+    arrays = [rng.integers(0, 2, n, dtype=np.uint8) for n in (1 << 16, 1 << 14, 1000)]
+    packed, plain = run_battery([BitSequence.from_bits(a) for a in arrays]), run_battery(arrays)
+    assert packed == plain
+    assert packed.machine_lines() == plain.machine_lines()
 
 
 def test_nist_experiment_validates_fill():

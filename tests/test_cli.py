@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import inru.modes
+from inru.algsys import count_system_size, emit_algebraic_system
 from inru.batch import SLICE_BLOCKS
 from inru.cli import main
 
@@ -527,6 +528,45 @@ def test_full_battery_script_rejects_counts_below_one(flag):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
+
+
+AVALANCHE = FULL_BATTERY.with_name("run_avalanche.py")
+EMIT_SYSTEM = FULL_BATTERY.with_name("emit_system.py")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "0", "must be at least 1, got 0"),
+    ("--keys", "0", "must be at least 1, got 0"),
+    ("--jobs", "0", "must be at least 1, got 0"),
+    ("--rounds", "17", "rounds must be in 1..16"),
+])
+def test_avalanche_script_rejects_bad_counts(flag, value, message):
+    proc = subprocess.run([sys.executable, str(AVALANCHE), flag, value],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"argument {flag}: {message}" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("rounds", ["0", "17"])
+def test_emit_system_script_rejects_rounds_before_opening_the_output(rounds, tmp_path):
+    out = tmp_path / "system.txt"
+    proc = subprocess.run([sys.executable, str(EMIT_SYSTEM), rounds, str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "argument rounds: rounds must be in 1..16" in proc.stderr
+    assert not out.exists()
+
+
+def test_emit_system_script_writes_the_system_and_its_counts(tmp_path):
+    out = tmp_path / "system.txt"
+    proc = subprocess.run([sys.executable, str(EMIT_SYSTEM), "1", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    nonlinear, unknowns = count_system_size(1)
+    assert proc.stdout == (f"1 round(s): {nonlinear} nonlinear equations,"
+                           f" {unknowns} unknowns after linear elimination -> {out}\n")
+    assert out.read_text() == emit_algebraic_system(1).render()
 
 
 def test_full_battery_script_rejects_unknown_modes():

@@ -1,3 +1,4 @@
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from inru.experiments import (
     avalanche_key,
     avalanche_plaintext,
     diff_propagation_experiment,
+    run_units,
     sac_matrix,
 )
 
@@ -120,6 +122,16 @@ def test_jobs_do_not_change_results():
     b = avalanche_plaintext(trials=300, keys=3, seed=9, jobs=2)
     assert np.array_equal(a.unit_values, b.unit_values)
     assert np.array_equal(a.per_bit_mean, b.per_bit_mean)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_units_keeps_unit_order(jobs):
+    assert run_units(operator.neg, [3, 1, 4, 1, 5], jobs) == [-3, -1, -4, -1, -5]
+
+
+def test_run_units_rejects_no_jobs():
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        run_units(operator.neg, [1], 0)
 
 
 def test_key_avalanche_small_run():
