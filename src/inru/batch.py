@@ -16,9 +16,10 @@ is at most one mask, one ``|`` and one ``take``.  The byte methods
 round keys; the nibble views (``expand_keys``, ``encrypt``, ``decrypt``,
 ``trace_rounds``) take and return nibbles.  Every entry point rejects a
 wrong shape with a ValueError naming the shape it expects.
-:meth:`BatchCipher.encrypt_bytes` and :meth:`BatchCipher.decrypt_bytes`
-run on column slices of :data:`SLICE_BLOCKS` blocks, so beyond their
-input and output they hold one slice's temporaries whatever n is.
+:meth:`BatchCipher.encrypt_bytes`, :meth:`BatchCipher.decrypt_bytes` and
+the key schedule :meth:`BatchCipher.expand_key_bytes` run on column
+slices of :data:`SLICE_BLOCKS` blocks or keys, so beyond their input and
+output they hold one slice's temporaries whatever n is.
 :func:`tables` builds the tables once per quasigroup:
 
 * three round tables that fuse a round's chain with its diffusion scan;
@@ -61,9 +62,10 @@ def check_rounds(rounds: int) -> None:
         raise ValueError(f"rounds must be in 1..{NUM_ROUNDS}")
 
 
-#: Blocks per column slice of :meth:`BatchCipher.encrypt_bytes` and
-#: :meth:`BatchCipher.decrypt_bytes`, which bounds their round temporaries;
-#: the command line reads its input in pieces of one slice.
+#: Blocks (or keys) per column slice of :meth:`BatchCipher.encrypt_bytes`,
+#: :meth:`BatchCipher.decrypt_bytes` and :meth:`BatchCipher.expand_key_bytes`,
+#: which bounds their temporaries; the command line reads its input in
+#: pieces of one slice.
 SLICE_BLOCKS = 16_384
 
 
@@ -207,6 +209,14 @@ def _slices(blocks, rks):
         yield cols, rows, _round_key_rows(rks if rks.ndim == 2 else rks[cols], rows.shape[1])
 
 
+def _keys_and_ivs(keys, ivs):
+    """(n, 32) nibble keys and their (n, 16) diversifiers, all zero for None."""
+    keys = _shaped(keys, "keys", (None, 32))
+    n = len(keys)
+    ivs = np.zeros((n, 16), dtype=np.uint8) if ivs is None else _shaped(ivs, "ivs", (n, 16))
+    return keys, ivs
+
+
 def _packed(blocks, rks):
     """(n, 16) nibble blocks and their nibble round keys, packed into bytes."""
     blocks = _shaped(blocks, "blocks", (None, 16))
@@ -291,15 +301,12 @@ class BatchCipher:
     # -- key schedule --------------------------------------------------------
 
     def _mixed_state_columns(self, keys, ivs) -> np.ndarray:
-        """Key mixing of (n, 32) keys and (n, 16) diversifiers, as (64, n) columns.
+        """Key mixing of checked (n, 32) keys and (n, 16) diversifiers, as (64, n) columns.
 
         The 64 passes take the seed string's nibbles s63, s62, ..., s0 as
         leaders, always from the unmodified seed.
         """
-        keys = _shaped(keys, "keys", (None, 32))
-        n = len(keys)
-        ivs = np.zeros((n, 16), dtype=np.uint8) if ivs is None else _shaped(ivs, "ivs", (n, 16))
-        tail = np.broadcast_to(np.arange(15, -1, -1, dtype=np.uint8), (n, 16))
+        tail = np.broadcast_to(np.arange(15, -1, -1, dtype=np.uint8), (len(keys), 16))
         s = np.concatenate([keys, ivs, tail], axis=1).T.copy()  # (64, n)
         a = _byte_rows(s).astype(np.uint16)
         self._chain_passes(s[::-1], a)
@@ -309,10 +316,19 @@ class BatchCipher:
         """Run the key schedule for n keys at once, returning (n, 17, 8) byte round keys.
 
         ``keys`` is (n, 32) nibbles, ``ivs`` (n, 16) or None for all-zero
-        diversifiers.  The result is a transposed view of the (17, 8, n)
-        rows that :meth:`encrypt_bytes` and :meth:`decrypt_bytes` read.
+        diversifiers.  Key mixing and round-key generation run on slices
+        of :data:`SLICE_BLOCKS` keys, so beyond the result they hold one
+        slice's working strings whatever n is.  The result is a transposed
+        view of the (17, 8, n) rows that :meth:`encrypt_bytes` and
+        :meth:`decrypt_bytes` read.
         """
-        return self._round_key_columns(self._mixed_state_columns(keys, ivs)).transpose(2, 0, 1)
+        keys, ivs = _keys_and_ivs(keys, ivs)
+        out = np.empty((17, 8, len(keys)), dtype=np.uint8)
+        for lo in range(0, max(len(keys), 1), SLICE_BLOCKS):
+            cols = slice(lo, lo + SLICE_BLOCKS)
+            mixed = self._mixed_state_columns(keys[cols], ivs[cols])
+            out[:, :, cols] = self._round_key_columns(mixed)
+        return out.transpose(2, 0, 1)
 
     def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
         """Nibble view of :meth:`expand_key_bytes`: round keys of shape (n, 17, 16)."""
@@ -320,7 +336,7 @@ class BatchCipher:
 
     def mix_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
         """Key mixing only, returning the (n, 64) mixed states."""
-        return self._mixed_state_columns(keys, ivs).T.copy()
+        return self._mixed_state_columns(*_keys_and_ivs(keys, ivs)).T.copy()
 
     def round_keys_from_states(self, states: np.ndarray) -> np.ndarray:
         """Round-key generation alone, from (n, 64) mixed-key states, as (n, 17, 16) nibbles."""

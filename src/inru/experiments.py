@@ -8,17 +8,16 @@ unit order, so the output is identical for every jobs value.
 
 The avalanche units run on the batch engine's byte methods: string bit
 b is bit 7 - (b mod 8) of byte b // 8, so they flip bits as bytes and
-xor ciphertext bytes before unpacking or counting bits.
+count flipped bits on the xor of ciphertext bytes, without unpacking.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BatchCipher, _byte_rows, check_rounds
+from .batch import SLICE_BLOCKS, BatchCipher, _byte_rows, check_rounds
 from .cipher import Block, MasterKey, expand_key
 
 
@@ -45,6 +44,9 @@ def run_units(fn, units: list, jobs: int) -> list:
         raise ValueError("jobs must be positive")
     if jobs == 1:
         return [fn(u) for u in units]
+    # Imported here so that ``import inru`` does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, units))
 
@@ -67,13 +69,33 @@ class DiffPropagationResult:
     activation: np.ndarray
 
 
+def _activation_counts(eng, keys, pts, delta, rounds):
+    """(rounds, 16) counts of active Sbox positions over the pairs (pts, pts ^ delta)."""
+    m = len(pts)
+    rks = eng.expand_keys(keys)
+    pairs = np.concatenate([pts, pts ^ np.array(delta.nibbles, dtype=np.uint8)])
+    active = np.zeros((rounds, 16), dtype=np.int64)
+    for i, after_kxor, after_sbox, _ in eng.trace_rounds(pairs, np.concatenate([rks, rks]), rounds):
+        differs = after_kxor[:, :m] != after_kxor[:, m:]
+        chain_differs = after_sbox[:, :m] != after_sbox[:, m:]
+        if i & 1:  # position t chains from t-1, position 0 from the leader
+            differs[1:] |= chain_differs[:-1]
+        else:  # position t chains from t+1, position 15 from the leader
+            differs[:-1] |= chain_differs[1:]
+        active[i - 1] = differs.sum(axis=1)
+    return active
+
+
 def diff_propagation_experiment(
     rounds: int, delta: Block, trials: int, seed: int = 0
 ) -> DiffPropagationResult:
     """Encrypt random pairs (m, m ^ delta) under random keys and tap Sbox inputs.
 
-    All 2 * trials blocks run as one batch; the round-key leaders are shared
-    within a pair, so only the message and neighbouring chain nibbles differ.
+    The pairs of each slice of :data:`SLICE_BLOCKS` trials run as one
+    batch; the round-key leaders are shared within a pair, so only the
+    message and neighbouring chain nibbles differ.  Keys and plaintexts
+    are drawn for all trials up front and the slices' integer activation
+    counts add up, so the slicing never changes the result.
     """
     if delta.to_int() == 0:
         raise ValueError("the input difference must be nonzero")
@@ -84,22 +106,17 @@ def diff_propagation_experiment(
     keys = rng.integers(0, 16, size=(trials, 32), dtype=np.uint8)
     pts = rng.integers(0, 16, size=(trials, 16), dtype=np.uint8)
     eng = BatchCipher()
-    rks = eng.expand_keys(keys)
-    pairs = np.concatenate([pts, pts ^ np.array(delta.nibbles, dtype=np.uint8)])
-    active = np.zeros((rounds, 16), dtype=np.int64)
-    steps = eng.trace_rounds(pairs, np.concatenate([rks, rks]), rounds)
-    for i, after_kxor, after_sbox, _ in steps:
-        differs = after_kxor[:, :trials] != after_kxor[:, trials:]
-        chain_differs = after_sbox[:, :trials] != after_sbox[:, trials:]
-        if i & 1:  # position t chains from t-1, position 0 from the leader
-            differs[1:] |= chain_differs[:-1]
-        else:  # position t chains from t+1, position 15 from the leader
-            differs[:-1] |= chain_differs[1:]
-        active[i - 1] = differs.sum(axis=1)
+    active = sum(
+        _activation_counts(eng, keys[lo : lo + SLICE_BLOCKS], pts[lo : lo + SLICE_BLOCKS], delta, rounds)
+        for lo in range(0, trials, SLICE_BLOCKS)
+    )
     return DiffPropagationResult(rounds, delta, trials, active / trials)
 
 
 # -- avalanche and strict avalanche -------------------------------------------
+
+
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
@@ -120,9 +137,11 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
     for b in range(64):  # string bit b is bit 7 - (b mod 8) of byte b // 8
         flipped[b >> 3, b] ^= 0x80 >> (b & 7)
     ct = eng.encrypt_bytes(flipped.reshape(8, -1).T, rks, rounds).T.reshape(8, 64, count)
-    diff = np.unpackbits(ct ^ base[:, None], axis=0)  # (64 ciphertext bits, 64 flips, count)
-    flip_counts = diff.sum(axis=2, dtype=np.int64).T
-    unit_means = diff.sum(axis=(0, 1), dtype=np.int64) / (64 * 64) * 100.0
+    d = ct ^ base[:, None]  # (8 ciphertext bytes, 64 flips, count)
+    flip_counts = np.empty((64, 64), dtype=np.int64)
+    for j in range(64):  # ciphertext bit j, counted without unpacking
+        flip_counts[:, j] = np.count_nonzero(d[j >> 3] & (0x80 >> (j & 7)), axis=1)
+    unit_means = _POPCOUNT[d].sum(axis=(0, 1), dtype=np.int64) / (64 * 64) * 100.0
     return flip_counts, unit_means
 
 
@@ -205,11 +224,30 @@ class KeyAvalancheResult:
     per_bit_ct_mean: np.ndarray  # (128,) ciphertext flip fraction per master-key bit
 
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+def _key_flip_diffs(eng, base_keys, pts, rounds):
+    """(m, 128) round-key and ciphertext bit flips for each one-bit flip of m keys."""
+    m = len(base_keys)
+    keys = np.repeat(base_keys[:, None, :], 129, axis=1)  # (m, 129, 32)
+    for b in range(128):
+        keys[:, 1 + b, b >> 2] ^= 1 << (3 - (b & 3))
+    rks = eng.expand_key_bytes(keys.reshape(-1, 32))  # (m * 129, 17, 8)
+
+    rk = rks.reshape(m, 129, 17, 8)
+    rk_diffs = _POPCOUNT[rk[:, 1:] ^ rk[:, :1]].sum(axis=(2, 3), dtype=np.int64)
+
+    ct = eng.encrypt_bytes(np.repeat(pts, 129, axis=0), rks, rounds).reshape(m, 129, 8)
+    ct_diffs = _POPCOUNT[ct[:, 1:] ^ ct[:, :1]].sum(axis=2, dtype=np.int64)
+    return rk_diffs, ct_diffs
 
 
 def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheResult:
-    """Flip each of the 128 master-key bits and measure downstream changes."""
+    """Flip each of the 128 master-key bits and measure downstream changes.
+
+    Each trial schedules its base key and the 128 one-bit flips of it.
+    The trials run in chunks of ``SLICE_BLOCKS // 129``, so one chunk's
+    keys are one slice of the batch engine; all draws are made up front,
+    so the chunking never changes the result.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
@@ -217,16 +255,12 @@ def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheR
     base_keys = rng.integers(0, 16, size=(trials, 32), dtype=np.uint8)
     pts = _byte_rows(rng.integers(0, 16, size=(trials, 16), dtype=np.uint8).T).T
 
-    keys = np.repeat(base_keys[:, None, :], 129, axis=1)  # (trials, 129, 32)
-    for b in range(128):
-        keys[:, 1 + b, b >> 2] ^= 1 << (3 - (b & 3))
-    rks = eng.expand_key_bytes(keys.reshape(-1, 32))  # (trials * 129, 17, 8)
-
-    rk = rks.reshape(trials, 129, 17, 8)
-    rk_diffs = _POPCOUNT[rk[:, 1:] ^ rk[:, :1]].sum(axis=(2, 3), dtype=np.int64)  # (trials, 128)
-
-    ct = eng.encrypt_bytes(np.repeat(pts, 129, axis=0), rks, rounds).reshape(trials, 129, 8)
-    ct_diffs = _POPCOUNT[ct[:, 1:] ^ ct[:, :1]].sum(axis=2, dtype=np.int64)  # (trials, 128)
+    rk_diffs = np.empty((trials, 128), dtype=np.int64)
+    ct_diffs = np.empty((trials, 128), dtype=np.int64)
+    step = SLICE_BLOCKS // 129
+    for lo in range(0, trials, step):
+        part = slice(lo, lo + step)
+        rk_diffs[part], ct_diffs[part] = _key_flip_diffs(eng, base_keys[part], pts[part], rounds)
 
     return KeyAvalancheResult(
         trials,

@@ -297,7 +297,8 @@ def dft_spectral(seq) -> TestResult:
     n = bits.size
     if n < 1000:
         return _too_short("DFT", n, 1000)
-    x = 2.0 * bits.astype(np.float64) - 1.0
+    x = np.multiply(bits, 2.0, dtype=np.float64)  # one float64 array; exact +-1 for 0/1 bits
+    x -= 1.0
     moduli = np.abs(np.fft.rfft(x))[: n // 2]
     threshold = math.sqrt(n * math.log(1 / 0.05))
     n0 = 0.95 * n / 2.0

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,18 +44,42 @@ def test_expand_keys_matches_scalar(engine):
 
 
 def test_expand_key_bytes_matches_scalar_key_bytes(engine):
+    # Two slices of keys: the columns at the slice edge and a few inside.
+    n = SLICE_BLOCKS + 1
     rng = np.random.default_rng(3)
-    keys = rng.integers(0, 16, size=(6, 32), dtype=np.uint8)
-    ivs = rng.integers(0, 16, size=(6, 16), dtype=np.uint8)
+    keys = rng.integers(0, 16, size=(n, 32), dtype=np.uint8)
+    ivs = rng.integers(0, 16, size=(n, 16), dtype=np.uint8)
     kb = engine.expand_key_bytes(keys, ivs)
-    assert kb.shape == (6, 17, 8) and kb.dtype == np.uint8
-    for j in range(6):
+    assert kb.shape == (n, 17, 8) and kb.dtype == np.uint8
+    for j in [0, 1, 5, *rng.integers(0, n, 3), SLICE_BLOCKS - 1, SLICE_BLOCKS]:
         ref = expand_key(
             MasterKey(tuple(int(v) for v in keys[j])),
             Diversifier(tuple(int(v) for v in ivs[j])),
         )
         assert np.array_equal(kb[j], ref.key_bytes)
         assert not ref.key_bytes.flags.writeable
+
+
+def test_expand_key_bytes_of_no_keys(engine):
+    no_keys = np.zeros((0, 32), dtype=np.uint8)
+    assert engine.expand_key_bytes(no_keys).shape == (0, 17, 8)
+    assert engine.expand_keys(no_keys, np.zeros((0, 16), dtype=np.uint8)).shape == (0, 17, 16)
+
+
+def test_expand_key_bytes_memory_grows_by_the_round_keys_only(engine):
+    # One slice's working strings (over 600 bytes a key) whatever n is;
+    # beyond them each key adds its 136 bytes of round keys and its
+    # 16 bytes of zero diversifier.
+    def peak(n):
+        keys = np.zeros((n, 32), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            engine.expand_key_bytes(keys)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2 * SLICE_BLOCKS) - peak(SLICE_BLOCKS) < 200 * SLICE_BLOCKS
 
 
 def test_expand_keys_default_iv(engine):

@@ -1,9 +1,11 @@
 import operator
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from inru.batch import SLICE_BLOCKS
 from inru.cipher import Block, MasterKey, encrypt_block, expand_key
 from inru.experiments import (
     _flip_unit,
@@ -15,6 +17,7 @@ from inru.experiments import (
 )
 
 LAST_NIBBLE = Block.from_hex("000000000000000f")
+KEY_CHUNK = SLICE_BLOCKS // 129  # avalanche_key trials per batch of flipped keys
 GOLDEN_FILE = Path(__file__).parent / "data" / "diff_prop_activation.txt"
 
 
@@ -62,6 +65,28 @@ def test_diff_propagation_matches_frozen_activations(rounds, trials, seed):
     expected = np.array(GOLDEN[rounds, trials, seed]) / trials
     assert res.activation.shape == (rounds, 16)
     assert np.array_equal(res.activation, expected)
+
+
+def _traced(fn):
+    """(fn's result, the traced peak of memory while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_diff_propagation_memory_does_not_grow_with_trials():
+    # Pairs are traced one slice of trials at a time; beyond the slice only
+    # the up-front draws (48 bytes a trial) grow with the trial count.
+    def run(trials):
+        return diff_propagation_experiment(2, LAST_NIBBLE, trials, seed=4)
+
+    run(1)  # build the cached tables first
+    _, one = _traced(lambda: run(SLICE_BLOCKS))
+    res, three = _traced(lambda: run(2 * SLICE_BLOCKS + 1))
+    assert three - one < 1.5 * 2**20
+    assert np.all(res.activation[1] == 1.0)  # every slice's pairs counted
 
 
 @pytest.mark.parametrize("nibble", [0, 5, 11])
@@ -186,6 +211,18 @@ def test_key_avalanche_follows_the_scalar_definitions(rounds):
     assert res.roundkey_flip_mean == rk_diffs.mean() / (17 * 64)
     assert res.ct_flip_mean == ct_diffs.mean() / 64
     assert np.array_equal(res.per_bit_ct_mean, ct_diffs.mean(axis=0) / 64)
+
+
+def test_key_avalanche_memory_does_not_grow_with_trials():
+    # Each chunk of trials schedules and encrypts its 129 keys per trial
+    # and is dropped; only the (trials, 128) flip counts grow.
+    avalanche_key(1)  # build the cached tables first
+    _, one = _traced(lambda: avalanche_key(KEY_CHUNK, rounds=1))
+    res, three = _traced(lambda: avalanche_key(2 * KEY_CHUNK + 1, rounds=1))
+    assert three - one < 2**20
+    # Frozen from an unchunked run: every chunk reads its own keys and plaintexts.
+    assert (res.min_roundkey_flips, res.roundkey_flip_mean, res.ct_flip_mean) == (
+        470, 0.5001289411674597, 0.4997702205882353)
 
 
 def test_key_avalanche_validates_trials():
