@@ -7,12 +7,15 @@ mode/input combination plus the machine-readable summary lines, whose
 last column is ``passed/applicable``: the sequences that passed a test
 over those it applies to.  --jobs spreads the keys over worker processes;
 each worker encrypts a key's stream and runs the ten tests on it, and the
-results fold in key order, so stdout is the same for every --jobs.  On a
-2-core Intel Xeon VM (Python 3.11, numpy 2.4) with a drifting load, two
-single-job runs took 1 min 37 s and 2 min 16 s (13-22 s per CBC/CFB/OFB
-table, 7-11 s per CTR table) and two --jobs 2 runs 1 min 1 s and 1 min
-5 s (6-11 s and 5-6 s).  Per-table wall times go to stderr, so the seeded
-stdout is byte-identical.
+results fold in key order, so stdout is the same for every --jobs.  A
+sequence's DFT test runs on a second thread beside the other nine, so a
+single job uses both cores during the tests; with --jobs 2 both cores
+already run a worker.  On a 2-core Intel Xeon VM (Python 3.11, numpy 2.4)
+with a drifting load, --seed 0 took 1 min 32 s and 1 min 19 s single-job
+(11-16 s per CBC/CFB/OFB table, 4-5 s per CTR table) and 55 s and 58 s
+with --jobs 2 (7-9 s and 4 s).  Pinned to one CPU (taskset -c 0) it took
+1 min 40 s single-job and 1 min 58 s with --jobs 2.  Per-table wall
+times go to stderr, so the seeded stdout is byte-identical.
 """
 
 import argparse

@@ -327,7 +327,7 @@ class BatchCipher:
         for lo in range(0, max(len(keys), 1), SLICE_BLOCKS):
             cols = slice(lo, lo + SLICE_BLOCKS)
             mixed = self._mixed_state_columns(keys[cols], ivs[cols])
-            out[:, :, cols] = self._round_key_columns(mixed)
+            self._round_key_columns(mixed, out[:, :, cols])
         return out.transpose(2, 0, 1)
 
     def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
@@ -341,10 +341,12 @@ class BatchCipher:
     def round_keys_from_states(self, states: np.ndarray) -> np.ndarray:
         """Round-key generation alone, from (n, 64) mixed-key states, as (n, 17, 16) nibbles."""
         states = _shaped(states, "states", (None, 64))
-        return _nibble_rows(self._round_key_columns(states.T.copy()).transpose(1, 0, 2)).T
+        out = np.empty((17, 8, len(states)), dtype=np.uint8)
+        self._round_key_columns(states.T.copy(), out)
+        return _nibble_rows(out.transpose(1, 0, 2)).T
 
-    def _round_key_columns(self, a: np.ndarray) -> np.ndarray:
-        """(17, 8, n) byte round keys from (64, n) mixed states.
+    def _round_key_columns(self, a: np.ndarray, out: np.ndarray) -> None:
+        """Write the (17, 8, n) byte round keys of (64, n) mixed states into ``out``.
 
         The working string is 0..15 34 times; round key i is the high
         nibbles of its bytes 16i..16i+15 (the even nibbles 32i..32i+30).
@@ -357,7 +359,7 @@ class BatchCipher:
         high &= 0xF0
         low >>= 4
         high |= low
-        return high.astype(np.uint8).reshape(17, 8, n)
+        out[...] = high.reshape(17, 8, n)
 
     # -- block encryption ----------------------------------------------------
 

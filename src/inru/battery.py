@@ -12,11 +12,16 @@ It enters neither the mean p-value nor the pass proportion, whose
 denominator is the number of sequences the test applies to.  The reports
 print that count and the reason, and print ``n/a`` as the mean of a test
 that applies to no sequence.
+
+A sequence's ten tests run on two threads: DFT on a helper thread, the
+other nine on the calling thread (:func:`_test_sequence`).  Results are
+the same as the ten run in turn, in ``ALL_TESTS`` order.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,8 +154,32 @@ class TestReport:
 
 
 def _test_sequence(bits: np.ndarray) -> tuple[TestResult, ...]:
-    """The ten tests on one sequence, in ``ALL_TESTS`` order."""
-    return tuple(fn(bits) for fn in ALL_TESTS.values())
+    """The ten tests on one sequence, in ``ALL_TESTS`` order.
+
+    DFT, about half of the tests' time and mostly an FFT that releases the
+    GIL, runs on a helper thread while this thread runs the other nine.
+    The helper is joined before this returns or raises, so no thread
+    outlives the call (``run_units`` forks its workers), and an exception
+    raised in it is raised here.
+    """
+    dft = []  # the helper's result or exception
+
+    def run_dft():
+        try:
+            dft.append(ALL_TESTS["DFT"](bits))
+        except BaseException as exc:  # handed to the calling thread
+            dft.append(exc)
+
+    helper = threading.Thread(target=run_dft, name="inru-dft")
+    helper.start()
+    try:
+        results = {t: fn(bits) for t, fn in ALL_TESTS.items() if t != "DFT"}
+    finally:
+        helper.join()
+    if isinstance(dft[0], BaseException):
+        raise dft[0]
+    results["DFT"] = dft[0]
+    return tuple(results[t] for t in ALL_TESTS)
 
 
 def _report(rows: list[tuple[TestResult, ...]], alpha: float, **labels) -> TestReport:

@@ -16,23 +16,28 @@ Conventions pinned here because more than one variant circulates:
   per test) gets a result with ``applicable=False``, no p-value and a note
   naming the minimum, never an error.  Invalid parameters still raise.
 
-Every test runs as a few whole-array numpy passes; none loops in Python
-over bits, windows or matrices:
+Every test runs as a few numpy passes; none loops in Python over bits,
+windows or matrices.  Beyond its input, no kernel but DFT holds more
+than about one byte per bit of the sequence, so the battery can run DFT,
+whose FFT needs ~32 bytes a bit, beside the other nine:
 
 * Serial and approximate entropy count m-bit windows of the circularly
   extended sequence from its packed bytes (:func:`_pattern_counts`): one
-  big-endian 32-bit word per byte offset, then 8 shift-and-mask passes,
-  one per bit offset inside the byte.  Each test counts once, at its
-  longest length, and folds the counts down.  Every position's
+  big-endian 32-bit word per byte offset, then one shift, mask and
+  count per bit offset inside the byte.  Each test counts once, at
+  its longest length, and folds the counts down.  Every position's
   (m-1)-bit window is the prefix of its m-bit window, so
   c_(m-1)[v] = c_m[2v] + c_m[2v+1] holds exactly (:func:`_fold`).
+* The longest-run test needs each block's longest run only up to its last
+  category (16 at most), so it and-shifts one copy of the blocks once per
+  run length instead of locating every run.
 * Rank eliminates over GF(2) on all matrices at once, one step per
   column on a (matrices, rows) array of 64-bit row words
   (:func:`_gf2_ranks`); :func:`gf2_rank` is the one-matrix reference.
-* The cumulative sums tests take the random walk S_0 = 0, S_1, ..., S_n
-  from one ``int32`` cumsum.  Forward, z = max(max S, -min S); backward,
-  the partial sums from the end are S_n - S_k for k < n, so z needs no
-  reversed copy.
+* The cumulative sums tests scan the random walk S_0 = 0, S_1, ..., S_n
+  in chunks of ``int32`` cumsums, carrying S and its extremes.  Forward,
+  z = max(max S, -min S); backward, the partial sums from the end are
+  S_n - S_k for k < n, so z needs no reversed copy.
 
 These kernels give the same counts, and so bit-identical p-values, as the
 direct loops they replaced; the tests hold each to such a loop.
@@ -152,13 +157,15 @@ def longest_run_of_ones(seq) -> TestResult:
     nblocks = n // m
     blocks = bits[: nblocks * m].reshape(nblocks, m)
 
-    # run lengths of ones, attributed to their block via a separator column
-    padded = np.concatenate([blocks, np.zeros((nblocks, 1), np.uint8)], axis=1).ravel()
-    d = np.diff(np.concatenate([[0], padded]).astype(np.int8))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)  # every run ends: each row gets a separator
-    longest = np.zeros(nblocks, dtype=np.int64)
-    np.maximum.at(longest, starts // (m + 1), ends - starts)
+    # Each block's longest run, clipped above at the last category: after
+    # pass j, ones[:, i] says whether a run of at least j + 1 ones starts
+    # at bit i of the block, so the passes count the run lengths present.
+    ones = blocks.copy()
+    longest = ones.any(axis=1).astype(np.int64)
+    for j in range(1, edges[-1]):
+        ones[:, : m - j] &= blocks[:, j:]
+        ones[:, m - j] = 0
+        longest += ones.any(axis=1)
 
     counts = np.zeros(len(edges), dtype=np.int64)
     clipped = np.clip(longest, edges[0], edges[-1])
@@ -170,21 +177,28 @@ def longest_run_of_ones(seq) -> TestResult:
     return TestResult("LRO", (p,), {"n": n, "M": m, "N": nblocks, "K": k})
 
 
+# Bits per step of the cumulative sums' scan: its int32 partial sums stay in cache.
+_CHUNK_BITS = 1 << 16
+
+
 def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     bits = _as_bits(seq)
     n = bits.size
     _require(direction in ("forward", "backward"), f"bad direction {direction!r}")
-    # s[k] = S_k, the sum of the first k steps 2 * bit - 1, with S_0 = 0
-    s = np.empty(n + 1, dtype=np.int32)
-    s[0] = 0
-    steps = bits.view(np.int8) * np.int8(2)
-    steps -= 1
-    np.cumsum(steps, dtype=np.int32, out=s[1:])
+    # S_k is the sum of the first k steps 2 * bit - 1, with S_0 = 0; scan
+    # them a chunk at a time, carrying S at the chunk start and the extremes
+    lo = hi = s_n = 0
+    for start in range(0, n, _CHUNK_BITS):
+        steps = bits[start : start + _CHUNK_BITS].view(np.int8) * np.int8(2)
+        steps -= 1
+        s = np.cumsum(steps, dtype=np.int32)
+        lo = min(lo, s_n + int(s.min()))
+        hi = max(hi, s_n + int(s.max()))
+        s_n += int(s[-1])
     if direction == "forward":
-        z = max(int(s.max()), -int(s.min()))
-    else:  # the backward sums are S_n - S_k for k = n-1, ..., 0
-        head, s_n = s[:-1], int(s[-1])
-        z = max(s_n - int(head.min()), int(head.max()) - s_n)
+        z = max(hi, -lo)
+    else:  # the backward sums are S_n - S_k for k = n-1, ..., 0; k = n adds 0
+        z = max(s_n - lo, hi - s_n)
     if z == 0:
         return TestResult("CSF" if direction == "forward" else "CSB", (0.0,), {"n": n})
     sqn = math.sqrt(n)
@@ -212,7 +226,8 @@ def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     Entry v counts the positions whose m-bit window, read msb first, is v.
     The windows come from the packed bytes: word i is the big-endian 32-bit
     word at byte offset i, and the window at bit 8i + r is that word shifted
-    right by 32 - r - m and masked, for r = 0..7.
+    right by 32 - r - m and masked.  Each bit offset r = 0..7 is counted on
+    its own, so only n/8 windows exist at a time.
     """
     _require(1 <= m <= _MAX_WINDOW, f"pattern length {m} out of range")
     n = bits.size
@@ -220,14 +235,14 @@ def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     packed = np.zeros(nbytes + 3, dtype=np.uint8)
     packed[:nbytes] = np.packbits(np.resize(bits, n + m - 1))
     words = np.ndarray((nbytes,), ">u4", packed, strides=(1,)).astype(np.uint32)
-    windows = np.empty(n, dtype=np.uint32)
-    start = 0
+    counts = np.zeros(1 << m, dtype=np.int64)
+    windows = np.empty((n + 7) // 8, dtype=np.uint32)
     for r in range(8):
-        out = windows[start : start + (n - r + 7) // 8]
+        out = windows[: (n - r + 7) // 8]
         np.right_shift(words[: out.size], 32 - r - m, out=out)
         out &= np.uint32((1 << m) - 1)
-        start += out.size
-    return np.bincount(windows, minlength=1 << m)
+        np.add.at(counts, out, 1)
+    return counts
 
 
 def _fold(counts: np.ndarray) -> np.ndarray:

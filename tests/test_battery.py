@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from inru.battery import (
     BitSequence,
+    _test_sequence,
     ks_critical_value,
     ks_uniformity_statistic,
     nist_experiment,
@@ -136,6 +138,69 @@ def test_nist_experiment_memory_does_not_grow_with_keys():
 
     nist_experiment("cbc", keys=1, bits_per_seq=1 << 18)  # build the cached tables first
     assert peak(8) - peak(2) < 0.5 * 2**20
+
+
+def _bits(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "constant":
+        return np.ones(n, np.uint8)
+    return (rng.random(n) < (0.5 if kind == "random" else 0.6)).astype(np.uint8)
+
+
+@pytest.mark.parametrize("kind", ["random", "biased", "constant"])
+@pytest.mark.parametrize("n", [1, 127, 1000, (1 << 16) - 1, (1 << 16) + 1, 1 << 20])
+def test_threaded_sequence_tests_equal_the_ten_in_turn(n, kind):
+    # Same p-values, params, applicability and notes, in ALL_TESTS order.
+    bits = _bits(n, kind)
+    assert _test_sequence(bits) == tuple(fn(bits) for fn in ALL_TESTS.values())
+
+
+def test_dft_runs_on_a_helper_thread_beside_the_other_tests(monkeypatch):
+    threads = {}
+    nine_started = threading.Event()
+    overlapped = []
+
+    def recording(tid, fn):
+        def run(bits):
+            threads[tid] = threading.current_thread()
+            if tid == "DFT":  # runs while the other nine do, not before them
+                overlapped.append(nine_started.wait(timeout=10))
+            else:
+                nine_started.set()
+            return fn(bits)
+        return run
+
+    for tid, fn in list(ALL_TESTS.items()):
+        monkeypatch.setitem(ALL_TESTS, tid, recording(tid, fn))
+    before = threading.active_count()
+    results = _test_sequence(_bits(1 << 12, "random"))
+    assert [r.test for r in results] == list(ALL_TESTS)
+    assert threading.active_count() == before
+    assert overlapped == [True]
+    main = threading.current_thread()
+    assert threads.pop("DFT") is not main
+    assert set(threads.values()) == {main}
+
+
+@pytest.mark.parametrize("lane", ["DFT", "AE"])
+def test_an_exception_in_either_lane_reaches_the_caller(monkeypatch, lane):
+    def boom(bits):
+        raise ArithmeticError(f"{lane} failed")
+
+    monkeypatch.setitem(ALL_TESTS, lane, boom)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"{lane} failed"):
+        _test_sequence(_bits(1 << 12, "random"))
+    with pytest.raises(ArithmeticError, match=f"{lane} failed"):
+        nist_experiment("ctr", keys=1, bits_per_seq=1 << 12)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_nist_experiment_leaves_no_thread_behind(jobs):
+    before = threading.active_count()
+    nist_experiment("ofb", keys=2, bits_per_seq=1 << 12, seed=5, jobs=jobs)
+    assert threading.active_count() == before
 
 
 def test_run_battery_takes_bit_sequences_and_arrays_alike():

@@ -1,7 +1,12 @@
+import tracemalloc
+from itertools import groupby
+
 import numpy as np
 import pytest
 
 from inru.nist_tests import (
+    _CHUNK_BITS,
+    _LRO_REGIMES,
     _MAX_WINDOW,
     ALL_TESTS,
     TestResult,
@@ -115,33 +120,38 @@ def test_longest_run_regime_selection():
     assert longest_run_of_ones(rng.integers(0, 2, 1 << 20, dtype=np.uint8)).params["M"] == 10**4
 
 
+def _lro_inputs(n, m, top):
+    """Random bits, constant bits, and runs of ones that end at, cross or
+    start at block edges, up to one past the last category ``top``."""
+    rng = np.random.default_rng(n)
+    straddling = rng.integers(0, 2, n, dtype=np.uint8)
+    for b, edge in enumerate(range(m, n, m)):
+        length = b % (top + 2) + 1
+        lo = edge - (length if b % 3 == 0 else length // 2 if b % 3 == 1 else 0)
+        straddling[max(lo - 1, 0)] = 0
+        straddling[lo : lo + length] = 1
+        straddling[lo + length : lo + length + 1] = 0
+    return [rng.integers(0, 2, n, dtype=np.uint8), np.ones(n, np.uint8),
+            np.zeros(n, np.uint8), straddling]
+
+
 def test_longest_run_counts_match_direct_scan():
-    # cross-check the vectorized per-block longest-run against a direct loop
-    rng = np.random.default_rng(6)
-    bits = rng.integers(0, 2, 6272, dtype=np.uint8)
-    res = longest_run_of_ones(bits)
-    assert res.params["M"] == 128
-    blocks = bits[: (bits.size // 128) * 128].reshape(-1, 128)
-    longs = []
-    for row in blocks:
-        best = cur = 0
-        for b in row:
-            cur = cur + 1 if b else 0
-            best = max(best, cur)
-        longs.append(best)
-    # re-derive the category counts and chi2 p-value
+    # cross-check the per-block longest runs against a direct scan, in
+    # each of the three block-size regimes and at their edges
     from inru.special_functions import igamc
 
-    probs = (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124)
-    edges = (4, 5, 6, 7, 8, 9)
-    counts = [0] * 6
-    for v in longs:
-        counts[min(max(v, 4), 9) - 4] += 1
-    n_blocks = len(longs)
-    chi2 = sum(
-        (c - n_blocks * p) ** 2 / (n_blocks * p) for c, p in zip(counts, probs)
-    )
-    assert res.p_values[0] == pytest.approx(igamc(2.5, chi2 / 2), rel=1e-12)
+    for n in (128, 6271, 6272, 20000, 750000, 750000 + 9999):
+        min_n, m, k, edges, probs = max(r for r in _LRO_REGIMES if r[0] <= n)
+        for bits in _lro_inputs(n, m, edges[-1]):
+            res = longest_run_of_ones(bits)
+            assert res.params["M"] == m
+            longs = [max((len(list(g)) for v, g in groupby(row) if v), default=0)
+                     for row in bits[: (n // m) * m].reshape(-1, m).tolist()]
+            counts = [0] * len(edges)
+            for v in longs:
+                counts[min(max(v, edges[0]), edges[-1]) - edges[0]] += 1
+            chi2 = sum((c - len(longs) * p) ** 2 / (len(longs) * p) for c, p in zip(counts, probs))
+            assert res.p_values[0] == pytest.approx(igamc(k / 2, chi2 / 2), rel=1e-12), n
 
 
 def test_cumulative_sums_directions_differ():
@@ -246,13 +256,17 @@ def _nonzero_counts(counts):
     return dict(zip(idx.tolist(), counts[idx].tolist()))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 9, 23, 31, 32, 33, 100, 1001, 4099])
+@pytest.mark.parametrize(
+    "n", [1, 2, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 100, 1001, 4099, 65535, 65536, 65537]
+)
 def test_pattern_counts_match_shift_or_counter(n):
+    # Each of the 8 bit offsets is counted apart, over (n - r + 7) // 8
+    # windows; sparse ones leave some offsets with only small windows.
     rng = np.random.default_rng(n)
-    bits = rng.integers(0, 2, n, dtype=np.uint8)
-    for m in range(1, 17):
-        want = np.bincount(_shift_or_counts(bits, m), minlength=1 << m)
-        assert np.array_equal(_pattern_counts(bits, m), want), m
+    for bits in (rng.integers(0, 2, n, dtype=np.uint8), (rng.random(n) < 0.02).astype(np.uint8)):
+        for m in range(1, 17):
+            want = np.bincount(_shift_or_counts(bits, m), minlength=1 << m)
+            assert np.array_equal(_pattern_counts(bits, m), want), m
 
 
 def test_pattern_counts_at_the_longest_windows():
@@ -340,6 +354,30 @@ def test_cumulative_sums_excursion_matches_int64_formula(direction):
         rng.integers(0, 2, 12345, dtype=np.uint8),
         (rng.random(1 << 16) < 0.52).astype(np.uint8),
     ]
+    # the scan's chunk edges: walks peaking on the last bit of a chunk
+    # (S_c), on the first bit of the next (S_(c+1)) and on the last bit
+    c = _CHUNK_BITS
+    for n in (c - 1, c, c + 1, 2 * c, 2 * c + 1):
+        for ones in (c, c + 1):
+            ones = min(ones, n)
+            seqs.append(np.repeat(np.array([1, 0], np.uint8), [ones, n - ones]))
+            seqs.append(1 - seqs[-1])
+        seqs.append(np.concatenate([rng.integers(0, 2, n - 3000, dtype=np.uint8), np.ones(3000, np.uint8)]))
     for bits in seqs:
         res = cumulative_sums(bits, direction)
         assert res.params["z"] == _int64_excursion(bits, direction), bits.size
+
+
+@pytest.mark.parametrize("test", ["AE", "Srl", "LRO", "CSF", "CSB"])
+def test_kernel_memory_is_bounded(test):
+    # These kernels run while the battery's DFT holds ~32 MiB of FFT
+    # buffers, so at 2^20 bits each stays within a few MiB of its input.
+    bits = np.random.default_rng(17).integers(0, 2, 1 << 20, dtype=np.uint8)
+    ALL_TESTS[test](bits)
+    tracemalloc.start()
+    try:
+        ALL_TESTS[test](bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
