@@ -31,10 +31,17 @@ class DataError(Exception):
 
 
 def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("INRU_JOBS", "1")))
-    except ValueError:
+    """``INRU_JOBS``: 1 when unset or empty, else a positive integer or a usage error."""
+    value = os.environ.get("INRU_JOBS", "")
+    if not value:
         return 1
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"INRU_JOBS must be a positive integer, got {value!r}")
+    return jobs
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -221,9 +228,11 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"analyze {args.instrument} does not use {flags}")
     if args.leader is not None and args.view != "row":
         raise UsageError(f"analyze {args.instrument} uses --leader only with --view row")
-    for flag, default in {**_ANALYZE_DEFAULTS, "jobs": _default_jobs()}.items():
+    for flag, default in _ANALYZE_DEFAULTS.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
+    if args.jobs is None and "jobs" in _HONOURS[args.instrument]:
+        args.jobs = _default_jobs()
     return _ANALYZERS[args.instrument](args)
 
 

@@ -1,9 +1,9 @@
 """Modes of operation over arbitrary-length byte messages: CBC, CFB, OFB, CTR.
 
 These are the standard constructions with full 64-bit feedback.  CBC is the
-only mode that needs padding (PKCS#7 with 8-byte blocks by default; with
-padding "none" the message length must be a multiple of 8).  CFB, OFB and
-CTR are stream-like and preserve message length.
+only mode that needs padding (PKCS#7 over 8-byte blocks; with padding
+"none" the message length must be a multiple of 8).  CFB, OFB and CTR are
+stream-like and preserve message length.
 
 The CTR counter block is nonce (bits 0..31) followed by a 32-bit big-endian
 block counter starting at 0 (bits 32..63).
@@ -18,7 +18,9 @@ independent and may run concurrently.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -59,33 +61,20 @@ class ModeConfig:
             raise ValueError(f"padding must be 'pkcs7' or 'none', got {self.padding!r}")
 
 
-def pkcs7_pad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
-    n = block - len(data) % block
+def pkcs7_pad(data: bytes) -> bytes:
+    n = BLOCK_BYTES - len(data) % BLOCK_BYTES
     return data + bytes([n]) * n
 
 
-def pkcs7_unpad(data: bytes, block: int = BLOCK_BYTES) -> bytes:
+def pkcs7_unpad(data: bytes) -> bytes:
     if not data:
         raise PaddingError("ciphertext is empty; PKCS#7 needs at least one block")
-    if len(data) % block:
+    if len(data) % BLOCK_BYTES:
         raise PaddingError("ciphertext length not a whole number of blocks")
     n = data[-1]
-    if not 1 <= n <= block or data[-n:] != bytes([n]) * n:
+    if not 1 <= n <= BLOCK_BYTES or data[-n:] != bytes([n]) * n:
         raise PaddingError("bad padding bytes")
     return data[:-n]
-
-
-# Block values travel as 64-bit big-endian integers (``Block.to_int``) in
-# the sequential modes, and in the batch engine as (n, 8) byte arrays.
-
-
-def _block_ints(data: bytes) -> list[int]:
-    """The whole 8-byte blocks of ``data`` as integers."""
-    return np.frombuffer(data, dtype=">u8", count=len(data) // BLOCK_BYTES).tolist()
-
-
-def _ints_to_bytes(values: list[int]) -> bytes:
-    return np.array(values, dtype=">u8").tobytes()
 
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
@@ -115,13 +104,22 @@ class ModeStream:
     block of state between updates (NIST SP 800-38A): the chaining value,
     the OFB feedback or the CTR block counter.
 
-    The chained modes' sequential directions bind the scalar walk once
-    per stream.  CBC and CFB decryption need no chaining, so they run on
-    the batch engine, as CTR does: CBC as P_i = D(C_i) ^ C_(i-1), CFB as
-    P_i = C_i ^ E(C_(i-1)), with C_(-1) the mode IV.
+    Every mode and direction runs on one of two steps, each taking whole
+    blocks, or at finalize the partial block of a stream mode:
 
-    Each step below takes whole blocks, or at finalize the partial block
-    of a stream mode.
+    - the chained step, for CBC, CFB and OFB encryption and for OFB
+      decryption, is one recurrence on the scalar walk bound once per
+      stream.  With chain x_(-1) the mode IV, block i computes
+      e_i = E(x_(i-1) ^ a_i) and x_i = e_i ^ b_i, where a_i is P_i under
+      CBC and 0 otherwise, and b_i is P_i under CFB and 0 otherwise.  The
+      output is e_i under CBC and e_i ^ P_i (the keystream applied to the
+      data) under CFB and OFB.  A partial tail is zero-padded and its
+      output truncated.
+    - the batch step, for CTR and for CBC and CFB decryption, has no
+      chaining, so each update is one batch-engine call and one xor: CTR
+      xors the data with the encrypted counters, CFB decryption computes
+      P_i = C_i ^ E(C_(i-1)) and CBC decryption P_i = D(C_i) ^ C_(i-1),
+      with C_(-1) the mode IV and the chain the last ciphertext block.
     """
 
     def __init__(self, cfg: ModeConfig, rk: RoundKeys, decrypt: bool = False):
@@ -130,13 +128,11 @@ class ModeStream:
         self._pending = b""
         self._finished = False
         self._holds_last = decrypt and cfg.mode == "cbc" and cfg.padding == "pkcs7"
-        if decrypt and cfg.mode in ("cbc", "cfb"):
-            self._step = self._cbc_decrypt if cfg.mode == "cbc" else self._cfb_decrypt
-        elif cfg.mode == "ctr":
-            self._step = self._ctr
+        if cfg.mode == "ctr" or (decrypt and cfg.mode != "ofb"):
+            self._step = self._batch
         else:
             self._encrypt = int_encryptor(rk)
-            self._step = {"cbc": self._cbc_encrypt, "cfb": self._cfb_encrypt, "ofb": self._ofb}[cfg.mode]
+            self._step = self._chained
 
     def update(self, data: bytes) -> bytes:
         if self._finished:
@@ -163,56 +159,40 @@ class ModeStream:
         out = self._step(tail) if tail else b""
         return pkcs7_unpad(out) if self._holds_last else out
 
-    def _cbc_encrypt(self, data: bytes) -> bytes:
-        encrypt, chain = self._encrypt, self._chain
-        out = []
-        for p in _block_ints(data):
-            chain = encrypt(p ^ chain)
-            out.append(chain)
-        self._chain = chain
-        return _ints_to_bytes(out)
-
-    def _cbc_decrypt(self, data: bytes) -> bytes:
-        blocks = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_BYTES)
-        plain = BatchCipher().decrypt_bytes(blocks, self.rk.key_bytes)
-        out = _xor_bytes(plain.tobytes(), self._chain.to_bytes(BLOCK_BYTES, "big") + data)
-        self._chain = int.from_bytes(data[-BLOCK_BYTES:], "big")
-        return out
-
-    def _cfb_encrypt(self, data: bytes) -> bytes:
-        encrypt, chain = self._encrypt, self._chain
-        out = []
-        for p in _block_ints(data):
-            chain = p ^ encrypt(chain)
-            out.append(chain)
-        self._chain = chain
-        tail = data[len(out) * BLOCK_BYTES :]
-        if tail:
-            tail = _xor_bytes(tail, encrypt(chain).to_bytes(BLOCK_BYTES, "big"))
-        return _ints_to_bytes(out) + tail
-
-    def _cfb_decrypt(self, data: bytes) -> bytes:
+    def _chained(self, data: bytes) -> bytes:
+        mode = self.cfg.mode
         nblocks = (len(data) + 7) // BLOCK_BYTES
+        words = np.frombuffer(data.ljust(nblocks * BLOCK_BYTES, b"\0"), dtype=">u8")
+        encrypt, chain = self._encrypt, self._chain
+        enc = array("Q")  # the e_i as machine words, not one int object each
+        # The masks a_i and b_i: two iterators, as zip draws one value from
+        # each per block, freed with the loop.
+        for a, b in zip(words.tolist() if mode == "cbc" else repeat(0, nblocks),
+                        words.tolist() if mode == "cfb" else repeat(0, nblocks)):
+            e = encrypt(chain ^ a)
+            enc.append(e)
+            chain = e ^ b
+        self._chain = chain
+        out = np.frombuffer(enc, dtype=np.uint64).astype(">u8")
+        if mode != "cbc":
+            out ^= words
+        return out.tobytes()[: len(data)]
+
+    def _batch(self, data: bytes) -> bytes:
+        nblocks = (len(data) + 7) // BLOCK_BYTES
+        if self.cfg.mode == "ctr":
+            stream = _ctr_keystream_bytes(self.cfg, self.rk, nblocks, self._chain)
+            self._chain += nblocks
+            return _xor_bytes(data, stream)
         prev = self._chain.to_bytes(BLOCK_BYTES, "big") + data
-        blocks = np.frombuffer(prev, dtype=np.uint8, count=nblocks * BLOCK_BYTES)
-        stream = BatchCipher().encrypt_bytes(blocks.reshape(nblocks, BLOCK_BYTES), self.rk.key_bytes)
         self._chain = int.from_bytes(prev[-BLOCK_BYTES:], "big")
-        return _xor_bytes(data, stream.tobytes())
-
-    def _ofb(self, data: bytes) -> bytes:
-        encrypt, feedback = self._encrypt, self._chain
-        ks = []
-        for _ in range((len(data) + 7) // BLOCK_BYTES):
-            feedback = encrypt(feedback)
-            ks.append(feedback)
-        self._chain = feedback
-        return _xor_bytes(data, _ints_to_bytes(ks))
-
-    def _ctr(self, data: bytes) -> bytes:
-        nblocks = (len(data) + 7) // BLOCK_BYTES
-        stream = _ctr_keystream_bytes(self.cfg, self.rk, nblocks, self._chain)
-        self._chain += nblocks
-        return _xor_bytes(data, stream)
+        if self.cfg.mode == "cfb":
+            blocks = np.frombuffer(prev, dtype=np.uint8, count=nblocks * BLOCK_BYTES)
+            stream = BatchCipher().encrypt_bytes(blocks.reshape(nblocks, BLOCK_BYTES), self.rk.key_bytes)
+            return _xor_bytes(data, stream.tobytes())
+        blocks = np.frombuffer(data, dtype=np.uint8).reshape(nblocks, BLOCK_BYTES)
+        plain = BatchCipher().decrypt_bytes(blocks, self.rk.key_bytes)
+        return _xor_bytes(plain.tobytes(), prev)
 
 
 def mode_encrypt(cfg: ModeConfig, rk: RoundKeys, msg: bytes) -> bytes:
@@ -243,6 +223,10 @@ def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.n
     - CFB with ones fill from IV is the complement of CBC with ones fill
       from ~IV: their first blocks are ~E(IV) and E(IV), and their next
       blocks ~E(C) and E(~D) keep C = ~D.
+
+    CTR is tied the same way: under one key and nonce, CTR with ones fill
+    is the complement of CTR with zero fill, as both xor the fill with one
+    keystream.
     """
     if nbits <= 0:
         raise ValueError("nbits must be positive")

@@ -147,15 +147,20 @@ def _traced_peak(argv) -> int:
 @pytest.mark.parametrize("command, mode_flags", [
     ("encrypt", ["--mode", "ctr"]),
     ("decrypt", ["--mode", "cbc", "--padding", "none"]),
+    ("encrypt", ["--mode", "cfb"]),
 ])
 def test_encrypt_and_decrypt_stream_in_bounded_memory(command, mode_flags, tmp_path):
+    # The chained step walks the scalar cipher, ~20 us a block under
+    # tracemalloc, so it streams files of 1/4 and 1 MiB (2 and 8 pieces)
+    # and may grow by a quarter as much; the batch steps take 1 and 4 MiB.
+    unit = 1 << 18 if command == "encrypt" and "ctr" not in mode_flags else 1 << 20
     peaks = []
-    for mib in (1, 4):
-        src = tmp_path / f"in{mib}"
-        src.write_bytes(os.urandom(mib << 20))
+    for n in (1, 4):
+        src = tmp_path / f"in{n}"
+        src.write_bytes(os.urandom(n * unit))
         peaks.append(_traced_peak([command, "--key", KEY, *mode_flags,
-                                   "--in", str(src), "--out", str(tmp_path / f"out{mib}")]))
-    assert peaks[1] - peaks[0] < 1 << 20, peaks
+                                   "--in", str(src), "--out", str(tmp_path / f"out{n}")]))
+    assert peaks[1] - peaks[0] < unit, peaks
 
 
 @pytest.mark.parametrize("argv", [
@@ -467,6 +472,21 @@ def test_analyze_nist_rejects_too_few_keys(keys, capsys):
 def test_analyze_rejects_too_few_jobs(instrument, jobs, capsys):
     assert run_cli("analyze", instrument, "--keys", "1", "--jobs", jobs) == 2
     assert "jobs must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_analyze_rejects_a_bad_jobs_environment_value(value, monkeypatch, capsys):
+    monkeypatch.setenv("INRU_JOBS", value)
+    assert run_cli("analyze", "avalanche", "--trials", "2", "--keys", "1") == 2
+    assert f"INRU_JOBS must be a positive integer, got {value!r}" in capsys.readouterr().err
+    # read only where --jobs applies and is absent
+    assert run_cli("analyze", "avalanche", "--trials", "2", "--keys", "1", "--jobs", "1") == 0
+    assert run_cli("analyze", "ddt") == 0
+
+
+def test_analyze_treats_an_empty_jobs_environment_value_as_unset(monkeypatch):
+    monkeypatch.setenv("INRU_JOBS", "")
+    assert run_cli("analyze", "avalanche", "--trials", "2", "--keys", "1") == 0
 
 
 @pytest.mark.parametrize("instrument, header", [

@@ -203,6 +203,8 @@ def test_chained_mode_streams_are_tied():
     assert np.array_equal(stream("ofb", 0x00), zeros)
     assert np.array_equal(stream("ofb", 0xFF), 1 - zeros)
     assert np.array_equal(stream("cfb", 0xFF), 1 - stream("cbc", 0xFF, iv ^ ones))
+    ctr = ModeConfig("ctr", nonce=0x0A0B0C0D)
+    assert np.array_equal(cipher_stream(ctr, RK, 0xFF, nbits), 1 - cipher_stream(ctr, RK, 0x00, nbits))
 
 
 def test_keystream_truncates_to_nbits():
