@@ -128,38 +128,50 @@ def tables(q: Quasigroup) -> Tables:
     unknown P enters every bit alike, so it is applied at the end of the
     walk as one all-ones complement when the final parity is 1.  The
     round-16 table outputs the right chain itself and keeps parity 0.
-    """
-    mul = np.array(q.mul_table, dtype=np.int64)
-    high, low = np.indices((256, 256)).reshape(2, -1)  # index high << 8 | low
-    first = mul[high & 15, low >> 4]
-    left = first << 4 | mul[first, low & 15]
-    first = mul[low >> 4, high & 15]
-    right = mul[first, high >> 4] << 4 | first
 
-    s, byte = np.indices((32, 256)).reshape(2, -1)
+    Every table is built in its stored dtype on broadcast axes.  A chain
+    reads one nibble of prev, so each chain and division table is 16
+    copies of a (nibble, byte) block of 4096 entries, copied out once;
+    the round tables read the chain blocks at nibble = chain.  Beyond
+    the ~0.4 MiB of tables the build holds a few KiB, so no process or
+    worker keeps freed scratch resident.
+    """
+    mul = np.array(q.mul_table, dtype=np.uint16)
+    div = np.array(q.ldiv_table, dtype=np.uint8)
+    nib = np.arange(16, dtype=np.uint16)[:, None]  # the nibble of prev a chain reads
+    byte = np.arange(256, dtype=np.uint16)
+    first = mul[nib, byte >> 4]
+    e_left = first << 4 | mul[first, byte & 15]
+    first = mul[nib, byte & 15]
+    e_right = mul[first, byte >> 4] << 4 | first
+    d_left = div[nib, byte >> 4] << 4 | div[byte >> 4, byte & 15]
+    d_right = div[byte & 15, byte >> 4] << 4 | div[nib, byte & 15]
+
+    s = np.arange(32, dtype=np.uint16)[:, None]
     chain, parity = s >> 1, s & 1
     flip = 255 * parity
-    z = left[chain << 8 | byte]
+    z = e_left[chain, byte]
     p = _prefix_xors(z)
     odd = ((z & 15) << 1 | parity ^ (p & 1)) << 8 | (p >> 1) ^ flip
-    z = right[byte << 8 | chain << 4]
+    z = e_right[chain, byte]
     p = _suffix_xors(z)
     even = ((z >> 4) << 1 | parity ^ (p >> 7)) << 8 | ((p << 1) & 255) ^ 255 ^ flip
     last = (z >> 4) << 9 | z
 
-    div = np.array(q.ldiv_table, dtype=np.uint8)
-    high, low = np.ogrid[:256, :256]  # the same index as broadcast axes: cheaper
-    dleft = div[high & 15, low >> 4] << 4 | div[low >> 4, low & 15]
-    dright = div[high & 15, high >> 4] << 4 | div[low >> 4, high & 15]
+    def by_low_nibble(block):  # [prev & 15, byte] -> entry prev << 8 | byte
+        return np.tile(block, (16, 1)).ravel()
+
+    def by_high_nibble(block):  # [prev >> 4, byte] -> entry byte << 8 | prev
+        return np.repeat(block.T, 16, axis=1).ravel()
 
     built = Tables(
-        odd.astype(np.uint16),
-        even.astype(np.uint16),
-        last.astype(np.uint16),
-        (left << 8).astype(np.uint16),
-        right.astype(np.uint16),
-        dleft.ravel(),
-        dright.ravel(),
+        odd.ravel(),
+        even.ravel(),
+        last.ravel(),
+        by_low_nibble(e_left << 8),
+        by_high_nibble(e_right),
+        by_low_nibble(d_left),
+        by_high_nibble(d_right),
     )
     for table in built:  # shared by every engine over q
         table.flags.writeable = False

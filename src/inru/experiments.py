@@ -39,15 +39,19 @@ class QuantileRanges:
 
 
 def run_units(fn, units: list, jobs: int) -> list:
-    """``[fn(u) for u in units]``, computed on ``jobs`` processes, in unit order."""
+    """``[fn(u) for u in units]``, computed on ``jobs`` processes, in unit order.
+
+    The pool starts one process per unit at most, and none for one unit.
+    """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if jobs == 1:
+    workers = min(jobs, len(units))
+    if workers <= 1:
         return [fn(u) for u in units]
     # Imported here so that ``import inru`` does not load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
 
 
@@ -152,6 +156,7 @@ def _run_flip_units(trials, keys, rounds, seed, jobs):
     """
     if keys < 1:
         raise ValueError("keys must be positive")
+    check_rounds(rounds)  # before any key schedule runs
     rng = np.random.default_rng(seed)
     key_nibbles = rng.integers(0, 16, size=(keys, 32), dtype=np.uint8)
     sub_seeds = rng.integers(0, 2**63, size=keys)
@@ -250,6 +255,7 @@ def avalanche_key(trials: int, rounds: int = 16, seed: int = 0) -> KeyAvalancheR
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    check_rounds(rounds)  # before the first chunk's key schedule
     rng = np.random.default_rng(seed)
     eng = BatchCipher()
     base_keys = rng.integers(0, 16, size=(trials, 32), dtype=np.uint8)

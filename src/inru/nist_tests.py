@@ -18,13 +18,16 @@ Conventions pinned here because more than one variant circulates:
 
 Every test runs as a few numpy passes; none loops in Python over bits,
 windows or matrices.  Beyond its input, no kernel but DFT holds more
-than about one byte per bit of the sequence, so the battery can run DFT,
-whose FFT needs ~32 bytes a bit, beside the other nine:
+than about 1.7 bytes per bit of the sequence (Serial at 2^20 bits: its
+words, windows and counts), so the battery can run DFT, whose FFT needs
+~32 bytes a bit, beside the other nine:
 
 * Serial and approximate entropy count m-bit windows of the circularly
   extended sequence from its packed bytes (:func:`_pattern_counts`): one
   big-endian 32-bit word per byte offset, then one shift, mask and
-  count per bit offset inside the byte.  Each test counts once, at
+  count per bit offset inside the byte.  The extension is never copied;
+  only its last partial byte and m - 1 wrap bits are packed apart from
+  the sequence's whole bytes.  Each test counts once, at
   its longest length, and folds the counts down.  Every position's
   (m-1)-bit window is the prefix of its m-bit window, so
   c_(m-1)[v] = c_m[2v] + c_m[2v+1] holds exactly (:func:`_fold`).
@@ -227,13 +230,18 @@ def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
     The windows come from the packed bytes: word i is the big-endian 32-bit
     word at byte offset i, and the window at bit 8i + r is that word shifted
     right by 32 - r - m and masked.  Each bit offset r = 0..7 is counted on
-    its own, so only n/8 windows exist at a time.
+    its own, so only n/8 windows exist at a time.  The extension is never
+    copied: the whole bytes of ``bits`` are packed straight from it, and
+    only the last partial byte and the m - 1 wrap bits apart (a sequence
+    shorter than m - 1 wraps more than once).
     """
     _require(1 <= m <= _MAX_WINDOW, f"pattern length {m} out of range")
     n = bits.size
+    whole = n // 8
     nbytes = (n + m + 6) // 8
     packed = np.zeros(nbytes + 3, dtype=np.uint8)
-    packed[:nbytes] = np.packbits(np.resize(bits, n + m - 1))
+    packed[:whole] = np.packbits(bits[: 8 * whole])
+    packed[whole:nbytes] = np.packbits(np.concatenate([bits[8 * whole :], np.resize(bits, m - 1)]))
     words = np.ndarray((nbytes,), ">u4", packed, strides=(1,)).astype(np.uint32)
     counts = np.zeros(1 << m, dtype=np.int64)
     windows = np.empty((n + 7) // 8, dtype=np.uint32)

@@ -449,6 +449,13 @@ def test_analyze_rejects_explicit_jobs_where_unused(instrument, monkeypatch, cap
     assert run_cli("analyze", instrument, "--rounds", "2", "--trials", "2") == 0
 
 
+@pytest.mark.parametrize("rounds", ["0", "17"])
+@pytest.mark.parametrize("instrument", ["diff-prop", "avalanche", "sac", "key-avalanche"])
+def test_analyze_rejects_rounds_out_of_range(instrument, rounds, capsys):
+    assert run_cli("analyze", instrument, "--rounds", rounds, "--trials", "2") == 2
+    assert "rounds must be in 1..16" in capsys.readouterr().err
+
+
 def test_analyze_nist_rejects_rounds(capsys):
     assert run_cli("analyze", "nist", "--rounds", "4", "--bits", "128") == 2
     assert "analyze nist does not use --rounds" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import multiprocessing.process
 import operator
 import tracemalloc
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inru.batch import SLICE_BLOCKS
+from inru import experiments
+from inru.batch import SLICE_BLOCKS, BatchCipher
 from inru.cipher import Block, MasterKey, encrypt_block, expand_key
 from inru.experiments import (
     _flip_unit,
@@ -47,6 +49,25 @@ def test_zero_difference_rejected():
 def test_rounds_validated():
     with pytest.raises(ValueError):
         diff_propagation_experiment(0, LAST_NIBBLE, trials=10)
+
+
+@pytest.mark.parametrize("rounds", [0, 17])
+@pytest.mark.parametrize("experiment", [avalanche_plaintext, sac_matrix, avalanche_key])
+def test_rounds_validated_before_any_key_schedule(experiment, rounds, monkeypatch):
+    calls = []
+
+    def spy(original):
+        def called(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+
+        return called
+
+    monkeypatch.setattr(experiments, "expand_key", spy(expand_key))
+    monkeypatch.setattr(BatchCipher, "expand_key_bytes", spy(BatchCipher.expand_key_bytes))
+    with pytest.raises(ValueError, match="rounds must be in 1..16"):
+        experiment(4, rounds=rounds)
+    assert calls == []
 
 
 def test_two_round_full_activation():
@@ -152,6 +173,22 @@ def test_jobs_do_not_change_results():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_units_keeps_unit_order(jobs):
     assert run_units(operator.neg, [3, 1, 4, 1, 5], jobs) == [-3, -1, -4, -1, -5]
+
+
+def test_run_units_starts_a_process_per_unit_at_most(monkeypatch):
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted_start(process):
+        starts.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    one_unit = avalanche_plaintext(trials=4, keys=1, seed=9, jobs=3)
+    assert starts == []  # one unit runs in the calling process
+    assert np.array_equal(one_unit.unit_values, avalanche_plaintext(trials=4, keys=1, seed=9).unit_values)
+    assert run_units(operator.neg, [7, 8], 3) == run_units(operator.neg, [7, 8], 1)
+    assert 1 <= len(starts) <= 2
 
 
 def test_run_units_rejects_no_jobs():

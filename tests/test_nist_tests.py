@@ -284,6 +284,21 @@ def test_pattern_counts_at_the_longest_windows():
         _pattern_counts(bits, _MAX_WINDOW + 1)
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, (1 << 16) - 1, (1 << 16) + 1, (1 << 20) + 3])
+def test_pattern_counts_equal_the_resized_extension(n):
+    # The kernel packs the whole bytes directly and the partial byte and
+    # wrap bits apart; the reference reads every window of np.resize's
+    # copy.  From m = 11 on, lengths 1 to 9 are shorter than m - 1, so
+    # their extension wraps more than once.  Compared on the nonzero
+    # entries: the reference holds no 2^m array.
+    bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    for m in range(1, _MAX_WINDOW + 1):
+        counts = _pattern_counts(bits, m)
+        vals, freq = np.unique(_shift_or_counts(bits, m), return_counts=True)
+        seen = np.flatnonzero(counts)
+        assert np.array_equal(seen, vals) and np.array_equal(counts[seen], freq), m
+
+
 @pytest.mark.parametrize("n", [1, 3, 9, 100, 4096, 4099])
 def test_fold_equals_a_direct_count(n):
     bits = np.random.default_rng(n + 1).integers(0, 2, n, dtype=np.uint8)
@@ -381,3 +396,19 @@ def test_kernel_memory_is_bounded(test):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("test", ["Srl", "AE"])
+def test_pattern_kernels_copy_no_sequence(test):
+    # Beside its 1 MiB input, a copy of the circularly extended sequence
+    # took Srl to 2.26 MiB; the packed bytes, words, windows and counts
+    # stay below 2 MiB.
+    bits = np.random.default_rng(17).integers(0, 2, 1 << 20, dtype=np.uint8)
+    ALL_TESTS[test](bits)
+    tracemalloc.start()
+    try:
+        ALL_TESTS[test](bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
