@@ -138,53 +138,26 @@ def emit_algebraic_system(rounds: int, q: Quasigroup = INRU) -> AlgebraicSystem:
             equations.append(
                 Equation(KEY_XOR, yv[i], frozenset({(yv[i],), (kv[i],), (prev[i],)}))
             )
-        if r & 1:
-            # left-to-right chain seeded by the key's first nibble
-            for t in range(16):
-                leader = kv[0:4] if t == 0 else zv[4 * (t - 1) : 4 * t]
-                ins = yv[4 * t : 4 * t + 4]
-                for i in range(4):
-                    equations.append(
-                        _substituted_sbox_equation(coord[i], leader, ins, zv[4 * t + i])
-                    )
-        else:
-            # right-to-left chain seeded by the key's last nibble
-            for t in range(15, -1, -1):
-                leader = kv[60:64] if t == 15 else zv[4 * (t + 1) : 4 * (t + 1) + 4]
-                ins = yv[4 * t : 4 * t + 4]
-                for i in range(4):
-                    equations.append(
-                        _substituted_sbox_equation(coord[i], leader, ins, zv[4 * t + i])
-                    )
+        # odd rounds chain left to right from the key's first nibble, even
+        # rounds right to left from its last
+        nibbles = range(16) if r & 1 else range(15, -1, -1)
+        leader = kv[4 * nibbles[0] : 4 * nibbles[0] + 4]
+        for t in nibbles:
+            ins = yv[4 * t : 4 * t + 4]
+            for i in range(4):
+                equations.append(_substituted_sbox_equation(coord[i], leader, ins, zv[4 * t + i]))
+            leader = zv[4 * t : 4 * t + 4]
         if r != 16:
             uv = [f"u{r}_{i}" for i in range(64)]
             variables += uv
-            if r & 1:
-                # suffix xor, leader 0: u63 = z63, ui = zi + u(i+1)
+            # odd rounds: suffix xor, leader 0: u63 = z63, ui = zi + u(i+1);
+            # even rounds: prefix xor, leader 1: u0 = z0 + 1, ui = zi + u(i-1)
+            carry = () if r & 1 else ((),)
+            for i in (range(63, -1, -1) if r & 1 else range(64)):
                 equations.append(
-                    Equation(DIFFUSION, uv[63], frozenset({(uv[63],), (zv[63],)}))
+                    Equation(DIFFUSION, uv[i], frozenset({(uv[i],), (zv[i],), *carry}))
                 )
-                for i in range(62, -1, -1):
-                    equations.append(
-                        Equation(
-                            DIFFUSION,
-                            uv[i],
-                            frozenset({(uv[i],), (zv[i],), (uv[i + 1],)}),
-                        )
-                    )
-            else:
-                # prefix xor, leader 1: u0 = z0 + 1, ui = zi + u(i-1)
-                equations.append(
-                    Equation(DIFFUSION, uv[0], frozenset({(uv[0],), (zv[0],), ()}))
-                )
-                for i in range(1, 64):
-                    equations.append(
-                        Equation(
-                            DIFFUSION,
-                            uv[i],
-                            frozenset({(uv[i],), (zv[i],), (uv[i - 1],)}),
-                        )
-                    )
+                carry = ((uv[i],),)
             prev = uv
         else:
             prev = zv

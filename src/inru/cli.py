@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage or parameter errors, 3 data or verification
-failures (bad padding, mismatching vectors), 4 I/O problems.  Output files
-are written to a temporary sibling and renamed into place, so a failing
-run never leaves a partial file.  ``encrypt`` and ``decrypt`` stream their
-input through :class:`inru.modes.ModeStream` in pieces of one batch-engine
-slice (128 KiB), so memory does not grow with the file.  All randomness is drawn from a seedable
-generator (``--seed``), never the OS entropy pool, so every run with the
-same flags produces byte-identical output.
+failures (bad padding, mismatching vectors), 4 I/O problems.  Usage errors
+include a flag the command or its mode does not use, a malformed value and
+an empty one (``--out=``, ``--square=``, ``--delta=``, ``--iv=``, ...).
+Output files are written to a temporary sibling and renamed into place, so
+a failing run never leaves a partial file.  ``encrypt`` and ``decrypt``
+stream their input through :class:`inru.modes.ModeStream` in pieces of one
+batch-engine slice (128 KiB), so memory does not grow with the file.
+``vectors generate`` writes seeded random known-answer vectors and
+``vectors verify FILE`` re-checks a vector file.  All randomness is drawn
+from a seedable generator (``--seed``), never the OS entropy pool, so every
+run with the same flags produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,8 +21,44 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
+
+from .algsys import emit_algebraic_system
+from .anf import algebraic_degree
+from .batch import SLICE_BLOCKS
+from .battery import nist_experiment
+from .cipher import (
+    Block,
+    Diversifier,
+    KnownAnswerVector,
+    MasterKey,
+    encrypt_block,
+    expand_key,
+    key_mixing,
+    read_vectors,
+    round_key_generation,
+)
+from .experiments import (
+    avalanche_key,
+    avalanche_plaintext,
+    diff_propagation_experiment,
+    render_ranges,
+    sac_matrix,
+)
+from .modes import BLOCK_BYTES, MODES, ModeConfig, ModeStream, PaddingError
+from .quasigroup import (
+    INRU,
+    LatinSquareError,
+    conjugate,
+    has_proper_subquasigroup,
+    is_hex,
+    is_medial,
+    is_simple,
+    load_square,
+)
+from .sboxes import build_ddt, build_lat, render_ddt, render_lat, row_sbox, wide_sbox
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,7 +80,7 @@ def _default_jobs() -> int:
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise UsageError(f"INRU_JOBS must be a positive integer, got {value!r}")
+        raise ValueError(f"INRU_JOBS must be a positive integer, got {value!r}")
     return jobs
 
 
@@ -69,22 +109,29 @@ def _output_file(path: str):
 
 def _key_and_iv(args):
     """The --key and --iv values; a bad one is a usage error through ``main``."""
-    from .cipher import Diversifier, MasterKey
-
     iv = Diversifier.from_hex(args.iv) if args.iv is not None else None
     return MasterKey.from_hex(args.key), iv
 
 
-class UsageError(Exception):
-    pass
-
-
 def _hex_int(text: str, digits: int, what: str) -> int:
-    from .quasigroup import is_hex
-
     if len(text) != digits or not is_hex(text):
-        raise UsageError(f"{what} must be {digits} hex digits, got {text!r}")
+        raise ValueError(f"{what} must be {digits} hex digits, got {text!r}")
     return int(text, 16)
+
+
+def _reject_unused(args, flags, what: str) -> None:
+    """Raise a usage error that names, sorted, each of ``flags`` given on the command line."""
+    given = sorted(f for f in flags if getattr(args, f) is not None)
+    if given:
+        names = ", ".join("--" + f.replace("_", "-") for f in given)
+        raise ValueError(f"{what} does not use {names}")
+
+
+def _nonempty(text: str) -> str:
+    """Argument type of file and value flags: an empty value is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty value")
+    return text
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -96,64 +143,36 @@ _MODE_FLAGS = {"mode_iv": ("cbc", "cfb", "ofb"), "nonce": ("ctr",), "padding": (
 
 
 def _mode_config(args):
-    from .modes import ModeConfig
-
-    ignored = [f for f, modes in _MODE_FLAGS.items()
-               if getattr(args, f) is not None and args.mode not in modes]
-    if ignored:
-        flags = ", ".join("--" + f.replace("_", "-") for f in ignored)
-        raise UsageError(f"{args.command} --mode {args.mode} does not use {flags}")
+    _reject_unused(args, [f for f, modes in _MODE_FLAGS.items() if args.mode not in modes],
+                   f"{args.command} --mode {args.mode}")
     mode_iv = _hex_int(args.mode_iv, 16, "--mode-iv") if args.mode_iv is not None else 0
     nonce = _hex_int(args.nonce, 8, "--nonce") if args.nonce is not None else 0
     return ModeConfig(args.mode, mode_iv=mode_iv, nonce=nonce, padding=args.padding or "pkcs7")
 
 
-def cmd_encrypt(args) -> int:
-    _, written = _run_mode(args, decrypt=False)
-    print(f"{(written + 7) // 8} blocks")
-    return EXIT_OK
-
-
-def cmd_decrypt(args) -> int:
-    from .modes import PaddingError
-
-    try:
-        read, _ = _run_mode(args, decrypt=True)
-    except PaddingError as e:
-        raise DataError(f"decryption failed: {e}")
-    print(f"{(read + 7) // 8} blocks")
-    return EXIT_OK
-
-
-def _run_mode(args, decrypt: bool) -> tuple[int, int]:
-    """Stream ``--in`` through the mode into ``--out``; returns (bytes read, bytes written).
+def cmd_mode(args) -> int:
+    """Stream ``--in`` through the mode into ``--out``; print the ciphertext's block count.
 
     The input is read in pieces of one batch-engine slice, so memory does
     not grow with the file.
     """
-    from .batch import SLICE_BLOCKS
-    from .cipher import expand_key
-    from .modes import BLOCK_BYTES, ModeStream
-
+    decrypt = args.command == "decrypt"
     rk = expand_key(*_key_and_iv(args))
     stream = ModeStream(_mode_config(args), rk, decrypt)
     read = written = 0
-    with open(args.infile, "rb") as src, _output_file(args.out) as dst:
-        while piece := src.read(SLICE_BLOCKS * BLOCK_BYTES):
-            read += len(piece)
-            written += dst.write(stream.update(piece))
-        written += dst.write(stream.finalize())
-    return read, written
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(args.infile, "rb") as src, _output_file(args.out) as dst:
+            while piece := src.read(SLICE_BLOCKS * BLOCK_BYTES):
+                read += len(piece)
+                written += dst.write(stream.update(piece))
+            written += dst.write(stream.finalize())
+    except PaddingError as e:  # raised by decryption only
+        raise DataError(f"decryption failed: {e}")
+    print(f"{((read if decrypt else written) + 7) // 8} blocks")
+    return EXIT_OK
 
 
 def cmd_keyschedule(args) -> int:
-    from .cipher import key_mixing, round_key_generation
-
     mixed = key_mixing(*_key_and_iv(args))
     rks = round_key_generation(mixed)
     lines = [f"mixed={mixed.to_hex()}"]
@@ -162,36 +181,25 @@ def cmd_keyschedule(args) -> int:
     return EXIT_OK
 
 
-def cmd_vectors(args) -> int:
-    from .cipher import (
-        Block,
-        Diversifier,
-        KnownAnswerVector,
-        MasterKey,
-        encrypt_block,
-        expand_key,
-        read_vectors,
-    )
+def cmd_vectors_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError("count must be positive")
+    rng = np.random.default_rng(args.seed)
+    lines = [f"# {args.count} generated vectors, seed {args.seed}"]
+    for _ in range(args.count):
+        key = MasterKey(tuple(int(v) for v in rng.integers(0, 16, 32)))
+        iv = Diversifier(tuple(int(v) for v in rng.integers(0, 16, 16)))
+        pt = Block(tuple(int(v) for v in rng.integers(0, 16, 16)))
+        ct = encrypt_block(pt, expand_key(key, iv))
+        lines.append(KnownAnswerVector(key, iv, pt, ct).to_line())
+    _write_output(args.out, "\n".join(lines) + "\n")
+    return EXIT_OK
 
-    if args.action == "generate":
-        if args.count < 1:
-            raise UsageError("count must be positive")
-        rng = np.random.default_rng(args.seed)
-        lines = [f"# {args.count} generated vectors, seed {args.seed}"]
-        for _ in range(args.count):
-            key = MasterKey(tuple(int(v) for v in rng.integers(0, 16, 32)))
-            iv = Diversifier(tuple(int(v) for v in rng.integers(0, 16, 16)))
-            pt = Block(tuple(int(v) for v in rng.integers(0, 16, 16)))
-            ct = encrypt_block(pt, expand_key(key, iv))
-            lines.append(KnownAnswerVector(key, iv, pt, ct).to_line())
-        _write_output(args.out, "\n".join(lines) + "\n")
-        return EXIT_OK
 
-    # verify
-    if not args.file:
-        raise UsageError("vectors verify needs a file argument")
+def cmd_vectors_verify(args) -> int:
     try:
-        vectors = read_vectors(_read_bytes(args.file).decode())
+        with open(args.file, "rb") as fh:
+            vectors = read_vectors(fh.read().decode())
     except ValueError as e:  # UnicodeDecodeError included
         raise DataError(str(e))
     if not vectors:
@@ -210,72 +218,43 @@ def cmd_vectors(args) -> int:
 
 
 def _load_quasigroup(args):
-    from .quasigroup import INRU, LatinSquareError, load_square
-
-    if args.square:
-        try:
-            return load_square(args.square)
-        except (LatinSquareError, UnicodeDecodeError) as e:
-            raise DataError(f"bad square file: {e}")
-    return INRU
+    if args.square is None:
+        return INRU
+    try:
+        return load_square(args.square)
+    except (LatinSquareError, UnicodeDecodeError) as e:
+        raise DataError(f"bad square file: {e}")
 
 
 def cmd_analyze(args) -> int:
-    ignored = [f for f in sorted(_ANALYZE_FLAGS - _HONOURS[args.instrument])
-               if getattr(args, f) is not None]
-    if ignored:
-        flags = ", ".join("--" + f for f in ignored)
-        raise UsageError(f"analyze {args.instrument} does not use {flags}")
+    analyze, honoured = _INSTRUMENTS[args.instrument]
+    _reject_unused(args, _ANALYZE_FLAGS - honoured, f"analyze {args.instrument}")
     if args.leader is not None and args.view != "row":
-        raise UsageError(f"analyze {args.instrument} uses --leader only with --view row")
+        raise ValueError(f"analyze {args.instrument} uses --leader only with --view row")
     for flag, default in _ANALYZE_DEFAULTS.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-    if args.jobs is None and "jobs" in _HONOURS[args.instrument]:
+    if args.jobs is None and "jobs" in honoured:
         args.jobs = _default_jobs()
-    return _ANALYZERS[args.instrument](args)
+    _write_output(args.out, analyze(args))
+    return EXIT_OK
 
 
-def _sbox_view(args):
-    """The sbox view that ``--view``, ``--leader`` and ``--square`` select."""
-    from .quasigroup import is_hex
-    from .sboxes import row_sbox, wide_sbox
-
+def _analyze_sbox(build, render, args) -> str:
+    """The ``build`` table of the sbox view that --view, --leader and --square select."""
     q = _load_quasigroup(args)
     if args.view == "wide":
-        return wide_sbox(q)
-    if not is_hex(args.leader):
-        raise UsageError(f"leader must be in 0..{q.order - 1}, got {args.leader}")
-    return row_sbox(q, int(args.leader, 16))
+        view = wide_sbox(q)
+    elif is_hex(args.leader):
+        view = row_sbox(q, int(args.leader, 16))
+    else:
+        raise ValueError(f"leader must be in 0..{q.order - 1}, got {args.leader}")
+    return render(view, build(view))
 
 
-def _analyze_ddt(args) -> int:
-    from .sboxes import build_ddt, render_ddt
-
-    view = _sbox_view(args)
-    _write_output(args.out, render_ddt(view, build_ddt(view)))
-    return EXIT_OK
-
-
-def _analyze_lat(args) -> int:
-    from .sboxes import build_lat, render_lat
-
-    view = _sbox_view(args)
-    _write_output(args.out, render_lat(view, build_lat(view)))
-    return EXIT_OK
-
-
-def _analyze_diff_prop(args) -> int:
-    from .cipher import Block
-    from .experiments import diff_propagation_experiment
-
-    delta = Block.from_hex(args.delta.lower()) if args.delta else Block.from_hex(
-        "000000000000000f"
-    )
-    try:
-        res = diff_propagation_experiment(args.rounds, delta, args.trials, seed=args.seed)
-    except ValueError as e:
-        raise UsageError(str(e))
+def _analyze_diff_prop(args) -> str:
+    delta = Block.from_hex(args.delta.lower())
+    res = diff_propagation_experiment(args.rounds, delta, args.trials, seed=args.seed)
     lines = [
         f"# difference propagation, {args.rounds} round(s), {args.trials} trials,"
         f" input difference {delta.to_hex()}",
@@ -283,13 +262,10 @@ def _analyze_diff_prop(args) -> int:
     ]
     for r in range(res.rounds):
         lines.append(" ".join(f"{v:6.3f}" for v in res.activation[r]))
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _analyze_avalanche(args) -> int:
-    from .experiments import avalanche_plaintext, render_ranges
-
+def _analyze_avalanche(args) -> str:
     res = avalanche_plaintext(
         args.trials, keys=args.keys, rounds=args.rounds, seed=args.seed, jobs=args.jobs
     )
@@ -301,13 +277,10 @@ def _analyze_avalanche(args) -> int:
     ]
     for i in range(0, 64, 8):
         lines.append(" ".join(f"{v:6.2f}" for v in res.per_bit_mean[i : i + 8]))
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _analyze_sac(args) -> int:
-    from .experiments import render_ranges, sac_matrix
-
+def _analyze_sac(args) -> str:
     res = sac_matrix(
         args.trials, keys=args.keys, rounds=args.rounds, seed=args.seed, jobs=args.jobs
     )
@@ -318,13 +291,10 @@ def _analyze_sac(args) -> int:
     ]
     for row in res.matrix:
         lines.append(" ".join(f"{v:5.3f}" for v in row))
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _analyze_key_avalanche(args) -> int:
-    from .experiments import avalanche_key
-
+def _analyze_key_avalanche(args) -> str:
     res = avalanche_key(args.trials, rounds=args.rounds, seed=args.seed)
     lines = [
         f"# key avalanche: {args.trials} trials, seed {args.seed}",
@@ -332,13 +302,10 @@ def _analyze_key_avalanche(args) -> int:
         f"mean round-key flip fraction: {res.roundkey_flip_mean:.4f}",
         f"mean ciphertext flip fraction: {res.ct_flip_mean:.4f}",
     ]
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _analyze_nist(args) -> int:
-    from .battery import nist_experiment
-
+def _analyze_nist(args) -> str:
     report = nist_experiment(
         args.mode,
         input_fill=args.input,
@@ -350,25 +317,14 @@ def _analyze_nist(args) -> int:
     text = report.render_table()
     if args.machine:
         text += report.machine_lines()
-    _write_output(args.out, text)
-    return EXIT_OK
+    return text
 
 
-def _analyze_algsys(args) -> int:
-    from .algsys import emit_algebraic_system
-
-    try:
-        system = emit_algebraic_system(args.rounds)
-    except ValueError as e:
-        raise UsageError(str(e))
-    _write_output(args.out, system.render())
-    return EXIT_OK
+def _analyze_algsys(args) -> str:
+    return emit_algebraic_system(args.rounds).render()
 
 
-def _analyze_qg_check(args) -> int:
-    from .anf import algebraic_degree
-    from .quasigroup import conjugate, has_proper_subquasigroup, is_medial, is_simple
-
+def _analyze_qg_check(args) -> str:
     q = _load_quasigroup(args)
     medial, witness = is_medial(q)
     degrees = {algebraic_degree(q, m) for m in range(1, q.order)}
@@ -382,43 +338,31 @@ def _analyze_qg_check(args) -> int:
         f"degree={'/'.join(str(d) for d in sorted(degrees))}",
         f"left_conjugate_degree={'/'.join(str(d) for d in sorted(conj_degrees))}",
     ]
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-_ANALYZERS = {
-    "ddt": _analyze_ddt,
-    "lat": _analyze_lat,
-    "diff-prop": _analyze_diff_prop,
-    "avalanche": _analyze_avalanche,
-    "sac": _analyze_sac,
-    "key-avalanche": _analyze_key_avalanche,
-    "nist": _analyze_nist,
-    "algsys": _analyze_algsys,
-    "qg-check": _analyze_qg_check,
+# Each instrument's analyzer, which returns the report text, and the
+# analyze flags it honours.  Any other flag given explicitly is a usage
+# error instead of being silently ignored; --out applies to every instrument.
+_INSTRUMENTS = {
+    "ddt": (partial(_analyze_sbox, build_ddt, render_ddt), {"view", "leader", "square"}),
+    "lat": (partial(_analyze_sbox, build_lat, render_lat), {"view", "leader", "square"}),
+    "diff-prop": (_analyze_diff_prop, {"rounds", "trials", "delta", "seed"}),
+    "avalanche": (_analyze_avalanche, {"rounds", "trials", "keys", "seed", "jobs"}),
+    "sac": (_analyze_sac, {"rounds", "trials", "keys", "seed", "jobs"}),
+    "key-avalanche": (_analyze_key_avalanche, {"rounds", "trials", "seed"}),
+    "nist": (_analyze_nist, {"mode", "input", "keys", "bits", "seed", "jobs", "machine"}),
+    "algsys": (_analyze_algsys, {"rounds"}),
+    "qg-check": (_analyze_qg_check, {"square"}),
 }
-
-# The analyze flags each instrument honours.  Any other flag given
-# explicitly is a usage error instead of being silently ignored; --out
-# applies to every instrument.
-_HONOURS = {
-    "ddt": {"view", "leader", "square"},
-    "lat": {"view", "leader", "square"},
-    "diff-prop": {"rounds", "trials", "delta", "seed"},
-    "avalanche": {"rounds", "trials", "keys", "seed", "jobs"},
-    "sac": {"rounds", "trials", "keys", "seed", "jobs"},
-    "key-avalanche": {"rounds", "trials", "seed"},
-    "nist": {"mode", "input", "keys", "bits", "seed", "jobs", "machine"},
-    "algsys": {"rounds"},
-    "qg-check": {"square"},
-}
-_ANALYZE_FLAGS = set().union(*_HONOURS.values())
+_ANALYZE_FLAGS = set().union(*(flags for _, flags in _INSTRUMENTS.values()))
 
 # The parser leaves every analyze flag at None so that explicit use is
 # visible to the check above; these defaults are filled in after it.
 _ANALYZE_DEFAULTS = {
     "view": "wide", "leader": "0", "rounds": 16, "trials": 1000, "keys": 6,
-    "bits": 1 << 20, "mode": "ctr", "input": "zeros", "seed": 0, "machine": False,
+    "bits": 1 << 20, "mode": "ctr", "input": "zeros", "delta": "000000000000000f",
+    "seed": 0, "machine": False,
 }
 
 
@@ -433,47 +377,50 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--key", required=True, help="master key, 32 hex digits")
         sp.add_argument("--iv", help="key-schedule diversifier, 16 hex digits (default zero)")
 
-    for name, fn in (("encrypt", cmd_encrypt), ("decrypt", cmd_decrypt)):
+    for name in ("encrypt", "decrypt"):
         sp = sub.add_parser(name, help=f"{name} a file under a mode of operation")
         add_key_iv(sp)
-        sp.add_argument("--mode", choices=["cbc", "cfb", "ofb", "ctr"], default="ctr")
+        sp.add_argument("--mode", choices=MODES, default="ctr")
         sp.add_argument("--mode-iv", help="CBC/CFB/OFB chaining IV, 16 hex digits")
         sp.add_argument("--nonce", help="CTR nonce, 8 hex digits")
         sp.add_argument("--padding", choices=["pkcs7", "none"], help="CBC padding (default pkcs7)")
         sp.add_argument("--in", dest="infile", required=True, help="input file")
-        sp.add_argument("--out", required=True, help="output file")
-        sp.set_defaults(func=fn)
+        sp.add_argument("--out", type=_nonempty, required=True, help="output file")
+        sp.set_defaults(func=cmd_mode)
 
     sp = sub.add_parser("keyschedule", help="print the mixed key state and round keys")
     add_key_iv(sp)
-    sp.add_argument("--out", help="output file (default stdout)")
+    sp.add_argument("--out", type=_nonempty, help="output file (default stdout)")
     sp.set_defaults(func=cmd_keyschedule)
 
     sp = sub.add_parser("vectors", help="generate or verify known-answer vectors")
-    sp.add_argument("action", choices=["generate", "verify"])
-    sp.add_argument("file", nargs="?", help="vector file to verify")
-    sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="output file for generate (default stdout)")
-    sp.set_defaults(func=cmd_vectors)
+    actions = sp.add_subparsers(dest="action", required=True)
+    sp = actions.add_parser("generate", help="write seeded random known-answer vectors")
+    sp.add_argument("--count", type=int, default=100, help="number of vectors (default 100)")
+    sp.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    sp.add_argument("--out", type=_nonempty, help="output file (default stdout)")
+    sp.set_defaults(func=cmd_vectors_generate)
+    sp = actions.add_parser("verify", help="re-check a known-answer vector file")
+    sp.add_argument("file", help="vector file to verify")
+    sp.set_defaults(func=cmd_vectors_verify)
 
     sp = sub.add_parser("analyze", help="run an analysis instrument")
-    sp.add_argument("instrument", choices=sorted(_ANALYZERS))
+    sp.add_argument("instrument", choices=sorted(_INSTRUMENTS))
     sp.add_argument("--view", choices=["wide", "row"], help="sbox view for ddt/lat")
     sp.add_argument("--leader", help="row-sbox leader, one hex digit")
-    sp.add_argument("--square", help="Latin square file (default: built-in)")
+    sp.add_argument("--square", type=_nonempty, help="Latin square file (default: built-in)")
     sp.add_argument("--rounds", type=int)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--keys", type=int)
     sp.add_argument("--bits", type=int)
-    sp.add_argument("--mode", choices=["cbc", "cfb", "ofb", "ctr"])
+    sp.add_argument("--mode", choices=MODES)
     sp.add_argument("--input", choices=["zeros", "ones"])
-    sp.add_argument("--delta", help="input difference for diff-prop, 16 hex digits")
+    sp.add_argument("--delta", type=_nonempty, help="input difference for diff-prop, 16 hex digits")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--jobs", type=int, help="worker processes (default: INRU_JOBS or 1)")
     sp.add_argument("--machine", action="store_true", default=None,
                     help="append machine-readable lines")
-    sp.add_argument("--out", help="output file (default stdout)")
+    sp.add_argument("--out", type=_nonempty, help="output file (default stdout)")
     sp.set_defaults(func=cmd_analyze)
 
     return p
@@ -484,18 +431,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except (DataError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(e, DataError):
+            return EXIT_DATA
+        return EXIT_IO if isinstance(e, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -36,8 +36,15 @@ class SboxView:
             raise ValueError("table length does not match input_bits")
 
 
+def _check_order(q: Quasigroup) -> None:
+    """Both views are of 4-bit elements, so the quasigroup must have order 16."""
+    if q.order != 16:
+        raise ValueError(f"sbox views need a quasigroup of order 16, got order {q.order}")
+
+
 def row_sbox(q: Quasigroup, leader: int) -> SboxView:
     """The 4x4 Sbox S_l: x -> l*x (a row of the Latin square)."""
+    _check_order(q)
     if not 0 <= leader < q.order:
         raise ValueError(f"leader must be in 0..{q.order - 1}, got {leader}")
     return SboxView(ROW, 4, 4, q.row(leader), leader)
@@ -45,6 +52,7 @@ def row_sbox(q: Quasigroup, leader: int) -> SboxView:
 
 def wide_sbox(q: Quasigroup) -> SboxView:
     """The 8x4 Sbox S: (l, x) -> l*x with input (l << 4) | x."""
+    _check_order(q)
     table = tuple(q.mul_table[l][x] for l in range(16) for x in range(16))
     return SboxView(WIDE, 8, 4, table)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,13 @@ def test_key_xor_equations_round_one():
         eq = by_var[f"y1_{i}"]
         assert eq.monomials == frozenset({(f"y1_{i}",), (f"k1_{i}",), (f"x{i}",)})
         assert eq.render() == f"y1_{i} + k1_{i} + x{i}"
+
+
+def test_rendered_systems_of_every_round_count_are_pinned():
+    text = "".join(emit_algebraic_system(r).render() for r in range(1, 17))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "baee83c2f337cfde53f64ad5b764c926480542895d701c221a54d8518bacde4b"
+    )
 
 
 def test_odd_round_diffusion_equations():

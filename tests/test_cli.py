@@ -355,6 +355,25 @@ def test_vectors_generate_rejects_too_few_vectors(count, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [["--count", "7"], ["--seed", "3"], ["--out", "r.txt"]])
+def test_vectors_verify_rejects_generate_flags(flags, tmp_path, monkeypatch):
+    from importlib.resources import files
+
+    monkeypatch.chdir(tmp_path)
+    path = files("inru.data").joinpath("known_answer_vectors.txt")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("vectors", "verify", str(path), *flags)
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_vectors_generate_rejects_a_file_argument(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("vectors", "generate", "stray.txt")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_analyze_qg_check(capsys):
     assert run_cli("analyze", "qg-check") == 0
     out = capsys.readouterr().out
@@ -503,6 +522,63 @@ def test_analyze_treats_an_empty_jobs_environment_value_as_unset(monkeypatch):
 def test_analyze_reports_the_keys_that_ran(instrument, header, capsys):
     assert run_cli("analyze", instrument, "--trials", "4", "--keys", "6") == 0
     assert capsys.readouterr().out.startswith(header)
+
+
+def test_unused_flags_are_named_in_sorted_order(tmp_path, capsys):
+    src, out = tmp_path / "msg", tmp_path / "o"
+    src.write_bytes(bytes(16))
+    assert run_cli("encrypt", "--key", KEY, "--mode", "ctr", "--padding", "none",
+                   "--mode-iv", "0123456789abcdef", "--in", str(src), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: encrypt --mode ctr does not use --mode-iv, --padding\n"
+    assert run_cli("analyze", "nist", "--rounds", "4", "--square", "x", "--bits", "128") == 2
+    assert capsys.readouterr().err == "error: analyze nist does not use --rounds, --square\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "diff-prop", "--trials", "2", "--delta="], "--delta"),
+    (["analyze", "qg-check", "--square="], "--square"),
+    (["analyze", "ddt", "--square="], "--square"),
+    (["analyze", "algsys", "--rounds", "1", "--out="], "--out"),
+    (["keyschedule", "--key", KEY, "--out="], "--out"),
+    (["vectors", "generate", "--count", "1", "--out="], "--out"),
+    (["encrypt", "--key", KEY, "--in", "msg", "--out="], "--out"),
+    (["decrypt", "--key", KEY, "--mode", "ofb", "--in", "msg", "--out="], "--out"),
+])
+def test_empty_flag_values_are_usage_errors(argv, flag, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "msg").write_bytes(bytes(2 * PIECE))
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: expected a non-empty value" in captured.err
+    assert captured.out == ""
+    # no temporary output file, here or in the parent directory
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert [p.name for p in work.iterdir()] == ["msg"]
+
+
+@pytest.mark.parametrize("rows", [
+    "0 1 2\n1 2 0\n2 0 1\n",
+    "0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n",
+], ids=["order3", "order4"])
+@pytest.mark.parametrize("view", ["wide", "row"])
+@pytest.mark.parametrize("instrument", ["ddt", "lat"])
+def test_analyze_sbox_tables_reject_squares_of_another_order(instrument, view, rows, tmp_path,
+                                                             capsys):
+    square = tmp_path / "square.txt"
+    square.write_text(rows)
+    order = rows.count("\n")
+    assert run_cli("analyze", instrument, "--view", view, "--square", str(square)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: sbox views need a quasigroup of order 16, got order {order}\n"
+    )
+    assert captured.out == ""
 
 
 def test_analyze_unknown_instrument():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inru.quasigroup import INRU
+from inru.quasigroup import INRU, Quasigroup
 from inru.sboxes import build_ddt, build_lat, render_ddt, render_lat, row_sbox, wide_sbox
 
 # maxima frozen from an independent broadcasting-based recount (see oracles below)
@@ -46,6 +46,17 @@ def test_row_sboxes_are_table_rows():
 def test_row_sbox_rejects_leaders_outside_the_square(leader):
     with pytest.raises(ValueError, match=f"leader must be in 0..15, got {leader}"):
         row_sbox(INRU, leader)
+
+
+CYCLIC_3 = Quasigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+KLEIN_4 = Quasigroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+
+
+@pytest.mark.parametrize("q", [CYCLIC_3, KLEIN_4], ids=["order3", "order4"])
+@pytest.mark.parametrize("view", [wide_sbox, lambda q: row_sbox(q, 0)], ids=["wide", "row"])
+def test_views_name_a_quasigroup_order_other_than_16(view, q):
+    with pytest.raises(ValueError, match=f"need a quasigroup of order 16, got order {q.order}$"):
+        view(q)
 
 
 def test_wide_sbox_packs_leader_high():
