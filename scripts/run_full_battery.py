@@ -11,20 +11,32 @@ results fold in key order, so stdout is the same for every --jobs.  A
 sequence's DFT test runs on a second thread beside the other nine, so a
 single job uses both cores during the tests; with --jobs 2 both cores
 already run a worker.  On a 2-core Intel Xeon VM (Python 3.11, numpy 2.4)
-with a drifting load, --seed 0 took 1 min 32 s and 1 min 19 s single-job
-(11-16 s per CBC/CFB/OFB table, 4-5 s per CTR table) and 55 s and 58 s
-with --jobs 2 (7-9 s and 4 s).  Pinned to one CPU (taskset -c 0) it took
-1 min 40 s single-job and 1 min 58 s with --jobs 2.  Per-table wall
-times go to stderr, so the seeded stdout is byte-identical.
+with a drifting load, two runs of --seed 0 took 66 s and 70 s single-job
+(8-11 s per CBC/CFB/OFB table, 3-4 s per CTR table) at a peak RSS of
+52 MiB, and 29 s and 46 s with --jobs 2, the script at 38 MiB and its
+largest worker at 45 MiB.  With one full-length FFT in the DFT test
+instead of the four-step one, the same runs took 64 s and 77 s at
+75 MiB single-job, and 42 s and 49 s with --jobs 2, its largest
+process at 67 MiB.  Per-table wall times and peak RSS go to stderr, so
+the seeded stdout is byte-identical.
 """
 
 import argparse
+import resource
 import sys
 import time
 
 from arg_types import positive_int
 from inru.battery import nist_experiment
 from inru.modes import MODES
+
+
+def peak_rss(jobs):
+    """This process's peak RSS so far and, with worker processes, the largest ended worker's."""
+    mib = [resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    text = f"peak RSS {mib[0]:.0f} MiB"
+    return text + f", workers {mib[1]:.0f} MiB" if jobs > 1 else text
 
 
 def main():
@@ -44,7 +56,7 @@ def main():
                                   bits_per_seq=args.bits, seed=args.seed,
                                   jobs=args.jobs)
             print(rep.render_table() + "\n")
-            print(f"[{mode}/{fill}: {time.perf_counter() - t0:.0f}s]", file=sys.stderr)
+            print(f"[{mode}/{fill}: {time.perf_counter() - t0:.0f}s, {peak_rss(args.jobs)}]", file=sys.stderr)
             machine.append(rep.machine_lines())
     print("mode,input,test,mean_p,passed/applicable")
     print("".join(machine), end="")

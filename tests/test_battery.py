@@ -1,3 +1,4 @@
+import gc
 import threading
 import tracemalloc
 from pathlib import Path
@@ -127,8 +128,14 @@ def test_nist_experiment_jobs_deterministic():
 
 def test_nist_experiment_memory_does_not_grow_with_keys():
     # Each key's stream is tested and dropped inside its work unit, so
-    # the peak is one unit's, however many keys there are.
+    # the peak is one unit's, however many keys there are.  Garbage left
+    # by earlier tests is collected first, so no peak counts it.  A unit's
+    # peak depends on which of the other nine tests runs beside DFT's
+    # largest step (up to ~0.5 MiB apart at 2^18 bits), and a run's peak
+    # is its highest unit's, so 8 keys are held to the highest of four
+    # 2-key runs: 8 units on each side.
     def peak(keys):
+        gc.collect()
         tracemalloc.start()
         try:
             nist_experiment("cbc", keys=keys, bits_per_seq=1 << 18, jobs=1)
@@ -137,7 +144,7 @@ def test_nist_experiment_memory_does_not_grow_with_keys():
             tracemalloc.stop()
 
     nist_experiment("cbc", keys=1, bits_per_seq=1 << 18)  # build the cached tables first
-    assert peak(8) - peak(2) < 0.5 * 2**20
+    assert peak(8) - max(peak(2) for _ in range(4)) < 0.5 * 2**20
 
 
 def _bits(n, kind):

@@ -686,6 +686,17 @@ def test_full_battery_script_keeps_wall_times_off_stdout():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert re.fullmatch(r"\[ctr/zeros: \d+s\]\n\[ctr/ones: \d+s\]\n", proc.stderr)
-    assert "s]" not in proc.stdout
+    assert re.fullmatch(r"\[ctr/zeros: \d+s, peak RSS \d+ MiB\]\n"
+                        r"\[ctr/ones: \d+s, peak RSS \d+ MiB\]\n", proc.stderr)
+    assert "s]" not in proc.stdout and "MiB" not in proc.stdout
     assert "mode,input,test,mean_p,passed/applicable" in proc.stdout.splitlines()
+
+
+def test_full_battery_script_reports_the_workers_peak_rss_with_jobs():
+    args = ["--keys", "2", "--bits", "1000", "--modes", "ctr"]
+    runs = [subprocess.run([sys.executable, str(FULL_BATTERY), *args, *jobs],
+                           capture_output=True, text=True) for jobs in ([], ["--jobs", "2"])]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[1].stdout == runs[0].stdout
+    assert re.fullmatch(r"(\[ctr/(zeros|ones): \d+s, peak RSS \d+ MiB, workers \d+ MiB\]\n){2}",
+                        runs[1].stderr)

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 from itertools import groupby
 
 import numpy as np
 import pytest
 
+from inru import nist_tests
 from inru.nist_tests import (
     _CHUNK_BITS,
     _LRO_REGIMES,
@@ -11,6 +13,7 @@ from inru.nist_tests import (
     ALL_TESTS,
     TestResult,
     _fold,
+    _dft_split,
     _gf2_ranks,
     _pattern_counts,
     approximate_entropy,
@@ -24,6 +27,7 @@ from inru.nist_tests import (
     runs,
     serial,
 )
+from inru.special_functions import erfc
 
 # 100-bit reference sequence; expected p-values were computed with an
 # independent implementation of the same statistics on top of
@@ -171,6 +175,76 @@ def test_dft_counts_low_magnitudes():
     res = dft_spectral(bits)
     assert 0 <= res.p_values[0] <= 1
     assert res.params["N1"] <= bits.size // 2
+
+
+def _direct_dft(bits) -> TestResult:
+    """The spectral test through one full-length rfft: the reference for every length."""
+    n = bits.size
+    moduli = np.abs(np.fft.rfft(2.0 * bits - 1.0))[: n // 2]
+    n1 = int((moduli < math.sqrt(n * math.log(1 / 0.05))).sum())
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return TestResult("DFT", (erfc(abs(d) / math.sqrt(2.0)),), {"n": n, "N1": n1})
+
+
+# Lengths and their four-step splits n = n1 * n2: none for a short length
+# whose factors near sqrt(n) are below 32 or for the prime 2^16 + 1; odd n;
+# n2 far below sqrt(n) under a prime n1; an odd n2 under an even n1.
+DFT_LENGTHS = {
+    1000: None,
+    1001: None,
+    4097: None,
+    (1 << 16) - 1: (257, 255),
+    (1 << 16) + 1: None,
+    37 * 2003: (2003, 37),
+    10**6: (1000, 1000),
+    1023 * 1024: (1024, 1023),
+    1 << 20: (1024, 1024),
+}
+
+
+def _dft_inputs(n: int):
+    """Random and biased bits under several seeds, all ones and alternating bits."""
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        yield rng.integers(0, 2, n, dtype=np.uint8)
+        yield (rng.random(n) < 0.52).astype(np.uint8)
+    yield np.ones(n, np.uint8)
+    yield (np.arange(n) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", DFT_LENGTHS)
+def test_dft_matches_direct_transform(n):
+    assert _dft_split(n) == DFT_LENGTHS[n]
+    for bits in _dft_inputs(n):  # repr tells an np.float64 p from a float
+        assert repr(dft_spectral(bits)) == repr(_direct_dft(bits))
+
+
+@pytest.mark.parametrize("n", [(1 << 16) - 1, 1023 * 1024])
+def test_dft_guard_band_refers_counts_to_direct_transform(n, monkeypatch):
+    # A band as wide as the threshold holds some modulus of every input,
+    # so every four-step count is refused and redone directly.
+    calls = []
+    direct = nist_tests._direct_count
+    monkeypatch.setattr(nist_tests, "_DFT_GUARD", 1.0)
+    monkeypatch.setattr(nist_tests, "_direct_count", lambda *a: calls.append(1) or direct(*a))
+    inputs = list(_dft_inputs(n))
+    for bits in inputs:
+        assert repr(dft_spectral(bits)) == repr(_direct_dft(bits))
+    assert len(calls) == len(inputs)
+
+
+def test_dft_memory_is_bounded():
+    # One full-length rfft of the float64 sequence traced 20 MiB at 2^20
+    # bits; the four-step FFT holds its (513, 1024) complex array and a block.
+    bits = np.random.default_rng(17).integers(0, 2, 1 << 20, dtype=np.uint8)
+    dft_spectral(bits)
+    tracemalloc.start()
+    try:
+        dft_spectral(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_gf2_rank_known_matrices():
@@ -385,8 +459,8 @@ def test_cumulative_sums_excursion_matches_int64_formula(direction):
 
 @pytest.mark.parametrize("test", ["AE", "Srl", "LRO", "CSF", "CSB"])
 def test_kernel_memory_is_bounded(test):
-    # These kernels run while the battery's DFT holds ~32 MiB of FFT
-    # buffers, so at 2^20 bits each stays within a few MiB of its input.
+    # These kernels run while the battery's DFT holds ~10 MiB of FFT
+    # arrays, so at 2^20 bits each stays within a few MiB of its input.
     bits = np.random.default_rng(17).integers(0, 2, 1 << 20, dtype=np.uint8)
     ALL_TESTS[test](bits)
     tracemalloc.start()
