@@ -45,8 +45,10 @@ def main():
     ap.add_argument("--bits", type=positive_int, default=1 << 20)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=positive_int, default=1)
-    ap.add_argument("--modes", nargs="*", choices=MODES, default=list(MODES))
+    ap.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
     args = ap.parse_args()
+    if len(set(args.modes)) < len(args.modes):
+        ap.error(f"argument --modes: a mode is repeated: {' '.join(args.modes)}")
 
     machine = []
     for mode in args.modes:

@@ -10,7 +10,6 @@ from .quasigroup import (
     is_medial,
     is_simple,
     load_square,
-    save_square,
 )
 from .anf import Anf, algebraic_degree, coordinate_anf, moebius_transform
 from .cipher import (
@@ -26,13 +25,12 @@ from .cipher import (
     encrypt_block_traced,
     expand_key,
     key_mixing,
-    kxor,
     round_key_generation,
     undiffuse_left,
     undiffuse_right,
 )
 from .batch import BatchCipher
-from .modes import ModeConfig, PaddingError, keystream, mode_decrypt, mode_encrypt
+from .modes import ModeConfig, PaddingError, mode_decrypt, mode_encrypt
 from .sboxes import build_ddt, build_lat, row_sbox, wide_sbox
 from .experiments import (
     avalanche_key,

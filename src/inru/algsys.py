@@ -6,7 +6,9 @@ has no diffusion layer), plus plaintext bits x, ciphertext bits c and round
 key bits k.  One polynomial is emitted per introduced variable, equated to
 zero, e.g. ``y1_5 + k1_5 + x5``.  The confusion layer contributes the only
 nonlinear equations: 64 per round, each the degree-6 coordinate ANF of the
-quasigroup product applied to the chaining nibble and the layer input.
+built-in quasigroup's product (:data:`inru.quasigroup.INRU`, the only one
+the system is emitted for) applied to the chaining nibble and the layer
+input.
 
 Variable naming: x0..x63, k{r}_0..k{r}_63 (k1 = first round key), y{r}_i,
 z{r}_i, u{r}_i, c0..c63.  Emission only; solving is out of scope.  The
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 from .anf import coordinate_anf
 from .batch import check_rounds
 from .cipher import Block, RoundKeys, encrypt_block_traced
-from .quasigroup import INRU, Quasigroup
+from .quasigroup import INRU
 
 Monomial = tuple[str, ...]  # sorted variable names; () is the constant 1
 
@@ -121,10 +123,10 @@ def _substituted_sbox_equation(
     return Equation(SBOX, out, frozenset(monos))
 
 
-def emit_algebraic_system(rounds: int, q: Quasigroup = INRU) -> AlgebraicSystem:
+def emit_algebraic_system(rounds: int) -> AlgebraicSystem:
     """Build the polynomial system of a ``rounds``-round encryption."""
     check_rounds(rounds)
-    coord = [coordinate_anf(q, i).monomials for i in range(4)]
+    coord = [coordinate_anf(INRU, i).monomials for i in range(4)]
     variables: list[str] = [f"x{i}" for i in range(64)]
     equations: list[Equation] = []
     prev = [f"x{i}" for i in range(64)]
@@ -173,7 +175,7 @@ def emit_algebraic_system(rounds: int, q: Quasigroup = INRU) -> AlgebraicSystem:
     return AlgebraicSystem(rounds, tuple(equations), tuple(variables), knowns)
 
 
-def count_system_size(rounds: int, q: Quasigroup = INRU) -> tuple[int, int]:
+def count_system_size(rounds: int) -> tuple[int, int]:
     """(nonlinear equation count, unknowns left after linear elimination).
 
     ``rounds`` 0 is the empty system: no equations, and the only unknowns
@@ -181,18 +183,16 @@ def count_system_size(rounds: int, q: Quasigroup = INRU) -> tuple[int, int]:
     """
     if rounds == 0:
         return 0, 128
-    system = emit_algebraic_system(rounds, q)
+    system = emit_algebraic_system(rounds)
     return len(system.nonlinear_equations()), system.count_after_linear_elimination()
 
 
 # -- trace substitution --------------------------------------------------------
 
 
-def assignment_from_trace(
-    m: Block, rk: RoundKeys, rounds: int, q: Quasigroup = INRU
-) -> dict[str, int]:
+def assignment_from_trace(m: Block, rk: RoundKeys, rounds: int) -> dict[str, int]:
     """Bit assignment of every system variable from an instrumented encryption."""
-    ct, traces = encrypt_block_traced(m, rk, rounds=rounds, q=q)
+    ct, traces = encrypt_block_traced(m, rk, rounds=rounds)
     assign: dict[str, int] = {}
 
     def put(prefix: str, nibbles: Sequence[int]):

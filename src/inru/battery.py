@@ -4,7 +4,7 @@ The aggregate statistic per test is the arithmetic mean of all its
 p-values across sequences (the serial test contributes two per sequence),
 which is what a one-number-per-test summary of many sequences reports.
 A sequence passes a test when every p-value is at least the significance
-level (default 0.01).
+level, :data:`inru.nist_tests.ALPHA` (0.01).
 
 A result marked not applicable (a sequence below the test's minimum
 length, or the runs test's failed frequency prerequisite) has no p-value.
@@ -29,9 +29,7 @@ import numpy as np
 from .cipher import MasterKey, expand_key
 from .experiments import run_units
 from .modes import ModeConfig, cipher_stream
-from .nist_tests import ALL_TESTS, TEST_NAMES, TestResult
-
-DEFAULT_ALPHA = 0.01
+from .nist_tests import ALL_TESTS, ALPHA, TEST_NAMES, TestResult
 
 
 @dataclass(frozen=True)
@@ -52,20 +50,18 @@ class BitSequence:
         bits = np.asarray(bits, dtype=np.uint8)
         return cls(np.packbits(bits).tobytes(), bits.size)
 
-    @classmethod
-    def from01(cls, text: str) -> "BitSequence":
-        return cls.from_bits(np.frombuffer(text.encode(), np.uint8) - ord("0"))
-
     def bits(self) -> np.ndarray:
         return np.unpackbits(np.frombuffer(self.data, np.uint8))[: self.nbits]
-
-    def to01(self) -> str:
-        return "".join("01"[b] for b in self.bits())
 
 
 @dataclass(frozen=True)
 class TestRecord:
-    """All sequences' results for a single test."""
+    """All sequences' results for a single test.
+
+    ``params`` holds the parameters every sequence the test applies to
+    shares (of every sequence, if it applies to none); a value that differs
+    between sequences, such as a statistic, is left out.
+    """
 
     test: str
     params: dict
@@ -79,17 +75,17 @@ class TestRecord:
         ps = self.p_values()
         return float(np.mean(ps)) if ps else math.nan
 
-    def pass_count(self, alpha: float = DEFAULT_ALPHA) -> int:
-        return sum(1 for r in self.results if r.passed(alpha))
+    def pass_count(self) -> int:
+        return sum(1 for r in self.results if r.passed())
 
     def applicable_count(self) -> int:
         return sum(1 for r in self.results if r.applicable)
 
-    def summary(self, alpha: float, digits: int) -> tuple[str, str]:
+    def summary(self, digits: int) -> tuple[str, str]:
         """The rendered mean p-value and ``passes/applicable`` of this test."""
         applicable = self.applicable_count()
         mean = f"{self.mean_p():.{digits}f}" if applicable else "n/a"
-        return mean, f"{self.pass_count(alpha)}/{applicable}"
+        return mean, f"{self.pass_count()}/{applicable}"
 
     def inapplicable_note(self) -> str:
         """How many sequences the test does not apply to, and why; or ''."""
@@ -103,7 +99,6 @@ class TestRecord:
 class TestReport:
     records: tuple[TestRecord, ...]
     n_sequences: int
-    alpha: float = DEFAULT_ALPHA
     mode: str = ""
     input_fill: str = ""
     meta: dict = field(default_factory=dict)
@@ -114,26 +109,17 @@ class TestReport:
                 return r
         raise KeyError(test)
 
-    def mean_p(self, test: str) -> float:
-        return self.record(test).mean_p()
-
-    def pass_proportion(self, test: str) -> float:
-        """Passing share of the sequences the test applies to; nan if none."""
-        rec = self.record(test)
-        applicable = rec.applicable_count()
-        return rec.pass_count(self.alpha) / applicable if applicable else math.nan
-
     def render_table(self) -> str:
         label = f" ({self.mode}, {self.input_fill} input)" if self.mode else ""
         lines = [
             f"randomness battery over {self.n_sequences} sequence(s){label},"
-            f" significance {self.alpha}",
+            f" significance {ALPHA}",
         ]
         if self.meta:
             lines.append("parameters: " + ", ".join(f"{k}={v}" for k, v in self.meta.items()))
         lines.append(f"{'test':6s} {'name':28s} {'mean p':>8s} {'pass':>7s}  params")
         for r in self.records:
-            mean, passes = r.summary(self.alpha, 4)
+            mean, passes = r.summary(4)
             params = [f"{k}={v}" for k, v in r.params.items() if k != "n"]
             note = r.inapplicable_note()
             if note:
@@ -148,7 +134,7 @@ class TestReport:
         fill = self.input_fill or "-"
         out = []
         for r in self.records:
-            mean, passes = r.summary(self.alpha, 6)
+            mean, passes = r.summary(6)
             out.append(f"{mode},{fill},{r.test},{mean},{passes}")
         return "\n".join(out) + "\n"
 
@@ -184,20 +170,24 @@ def _test_sequence(bits: np.ndarray) -> tuple[TestResult, ...]:
     return tuple(results[t] for t in ALL_TESTS)
 
 
-def _report(rows: list[tuple[TestResult, ...]], alpha: float, **labels) -> TestReport:
+def _shared_params(results: tuple[TestResult, ...]) -> dict:
+    """The params on which every applicable result (every result, if none is) agrees."""
+    first, *rest = [r for r in results if r.applicable] or results
+    return {k: v for k, v in first.params.items() if all((k, v) in r.params.items() for r in rest)}
+
+
+def _report(rows: list[tuple[TestResult, ...]], **labels) -> TestReport:
     """Fold per-sequence result tuples, in sequence order, into one record per test."""
-    records = tuple(TestRecord(t, dict(rs[0].params), rs) for t, rs in zip(ALL_TESTS, zip(*rows)))
-    return TestReport(records, len(rows), alpha, **labels)
+    records = tuple(TestRecord(t, _shared_params(rs), rs) for t, rs in zip(ALL_TESTS, zip(*rows)))
+    return TestReport(records, len(rows), **labels)
 
 
-def run_battery(
-    sequences: list[BitSequence] | list[np.ndarray], alpha: float = DEFAULT_ALPHA
-) -> TestReport:
+def run_battery(sequences: list[BitSequence] | list[np.ndarray]) -> TestReport:
     """Run every test on every sequence."""
     if not sequences:
         raise ValueError("run_battery needs at least one sequence")
     arrays = (s.bits() if isinstance(s, BitSequence) else s for s in sequences)
-    return _report([_test_sequence(np.asarray(a, np.uint8)) for a in arrays], alpha)
+    return _report([_test_sequence(np.asarray(a, np.uint8)) for a in arrays])
 
 
 def _one_key_results(args) -> tuple[TestResult, ...]:
@@ -214,7 +204,6 @@ def nist_experiment(
     keys: int = 64,
     bits_per_seq: int = 1 << 20,
     seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
     jobs: int = 1,
 ) -> TestReport:
     """Battery over ciphertext streams of ``keys`` random master keys in one mode.
@@ -239,7 +228,6 @@ def nist_experiment(
         units.append((mode, mode_iv, nonce, key_hex, fill, bits_per_seq))
     return _report(
         run_units(_one_key_results, units, jobs),
-        alpha,
         mode=mode,
         input_fill=input_fill,
         meta={"keys": keys, "bits_per_seq": bits_per_seq, "seed": seed},

@@ -34,8 +34,8 @@ on exit: between rounds the state stays in those bytes, and the
 complement a round owes is folded into the next round's key bytes.  It
 binds the round plan of one key schedule once and returns the block
 function, so a chained mode pays for the plan once per message;
-:func:`encrypt_int` and :func:`encrypt_block` are one-block views over
-it.  The key schedule here runs on :meth:`Quasigroup.apply_chain`.
+:func:`encrypt_block` is a one-block view over it.  The key schedule here
+runs on :meth:`Quasigroup.apply_chain`.
 
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
@@ -193,17 +193,8 @@ class RoundKeys:
         data = b"".join(k.to_bytes(8, "big") for k in self.ints)
         return np.frombuffer(data, dtype=np.uint8).reshape(17, 8)
 
-    def to_array(self) -> np.ndarray:
-        """A fresh (17, 16) uint8 nibble array: the ``rks`` of the engine's nibble views."""
-        return np.array([k.nibbles for k in self.keys], dtype=np.uint8)
-
 
 # -- round primitives --------------------------------------------------------
-
-
-def kxor(k: Block, a: Block) -> Block:
-    """Bitwise xor of two blocks."""
-    return k ^ a
 
 
 def _column_view(layer, b: Block) -> Block:
@@ -262,7 +253,7 @@ def _round_table_rows(q: Quasigroup) -> tuple[list[list], list[list], list[list]
 def int_encryptor(
     rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
 ) -> Callable[[int], int]:
-    """:func:`encrypt_int` under fixed round keys, as a function of the block alone.
+    """:func:`encrypt_block` under fixed round keys, on the block's 64-bit integer.
 
     The per-round plan (the round key's bytes and their complement, the
     start row of the round's walk, walk direction) is bound once.  The
@@ -321,13 +312,6 @@ def int_encryptor(
     return encrypt
 
 
-def encrypt_int(
-    x: int, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
-) -> int:
-    """:func:`encrypt_block` on the block's 64-bit integer ``x`` (``Block.to_int``)."""
-    return int_encryptor(rk, rounds, q)(x)
-
-
 def encrypt_block(
     m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
 ) -> Block:
@@ -339,7 +323,7 @@ def encrypt_block(
     round 16 skips diffusion.  A final xor with rk[rounds] whitens the
     output.
     """
-    return Block.from_int(encrypt_int(m.to_int(), rk, rounds, q))
+    return Block.from_int(int_encryptor(rk, rounds, q)(m.to_int()))
 
 
 def decrypt_block(
@@ -382,7 +366,8 @@ def encrypt_block_traced(
     A view over :meth:`inru.batch.BatchCipher.trace_rounds` at batch size 1.
     """
     traces = []
-    for i, y, z, u in BatchCipher(q).trace_rounds([m.nibbles], rk.to_array(), rounds):
+    rks = np.array([k.nibbles for k in rk.keys], dtype=np.uint8)  # the engine's nibble keys
+    for i, y, z, u in BatchCipher(q).trace_rounds([m.nibbles], rks, rounds):
         after_kxor = tuple(y[:, 0].tolist())
         after_sbox = tuple(z[:, 0].tolist())
         after_diffusion = None if u is None else tuple(u[:, 0].tolist())

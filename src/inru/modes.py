@@ -238,13 +238,3 @@ def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.n
     ct = mode_encrypt(cfg, rk, msg)
     bits = np.unpackbits(np.frombuffer(ct, dtype=np.uint8))
     return bits[:nbits]
-
-
-def keystream(cfg: ModeConfig, rk: RoundKeys, nbits: int) -> np.ndarray:
-    """Deterministic bit sequence of length ``nbits`` for the battery.
-
-    For OFB and CTR this is the raw keystream; for CBC and CFB it is the
-    ciphertext of the all-zero message, which coincides with the keystream
-    convention (xor with zeros is the identity).
-    """
-    return cipher_stream(cfg, rk, 0x00, nbits)

@@ -70,6 +70,9 @@ import numpy as np
 
 from .special_functions import erfc, igamc, normal_cdf
 
+#: The significance level: a sequence passes a test when every p-value is at least this.
+ALPHA = 0.01
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -81,8 +84,8 @@ class TestResult:
     applicable: bool = True
     note: str = ""
 
-    def passed(self, alpha: float = 0.01) -> bool:
-        return self.applicable and all(p >= alpha for p in self.p_values)
+    def passed(self) -> bool:
+        return self.applicable and all(p >= ALPHA for p in self.p_values)
 
 
 def _as_bits(seq) -> np.ndarray:

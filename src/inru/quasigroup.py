@@ -331,10 +331,5 @@ def load_square(path) -> Quasigroup:
         return Quasigroup(parse_square(fh.read()))
 
 
-def save_square(q: Quasigroup, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_square(q.mul_table))
-
-
 #: The cipher's built-in order-16 quasigroup.
 INRU = Quasigroup(parse_square("\n".join(INRU_ROWS)))

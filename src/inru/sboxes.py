@@ -63,9 +63,6 @@ class Ddt:
 
     counts: np.ndarray
 
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
     def max_nonzero(self) -> int:
         """Largest entry over nonzero input differences."""
         return int(self.counts[1:].max())

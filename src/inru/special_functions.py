@@ -40,7 +40,7 @@ def _lower_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             return total * _scale(a, x)
-    raise ArithmeticError(f"igam series failed to converge for a={a}, x={x}")
+    raise ArithmeticError(f"incomplete gamma series failed to converge for a={a}, x={x}")
 
 
 def _upper_continued_fraction(a: float, x: float) -> float:
@@ -79,19 +79,6 @@ def igamc(a: float, x: float) -> float:
     return _upper_continued_fraction(a, x)
 
 
-def igam(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) = 1 - Q(a, x)."""
-    if a <= 0:
-        raise ValueError("igam needs a > 0")
-    if x < 0:
-        raise ValueError("igam needs x >= 0")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return 1.0 - _upper_continued_fraction(a, x)
-
-
 def erfc(x: float) -> float:
     """Complementary error function via the incomplete gamma identity."""
     if x == 0.0:
@@ -99,10 +86,6 @@ def erfc(x: float) -> float:
     if x < 0:
         return 2.0 - erfc(-x)
     return igamc(0.5, x * x)
-
-
-def erf(x: float) -> float:
-    return 1.0 - erfc(x)
 
 
 def normal_cdf(x: float) -> float:

@@ -158,7 +158,7 @@ def test_criterion_07_statistical_battery_desk_scale():
                                   bits_per_seq=1 << 18, seed=110)
             for rec in rep.records:
                 mean_p = rec.mean_p()
-                passed = rec.pass_count(rep.alpha)
+                passed = rec.pass_count()
                 if not (0.30 < mean_p < 0.70) or passed < 13:
                     failures.append(f"{mode}/{fill}/{rec.test}: mean={mean_p:.3f} pass={passed}/16")
     elapsed = time.perf_counter() - t0

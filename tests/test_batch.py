@@ -12,7 +12,6 @@ from inru.cipher import (
     MasterKey,
     RoundKeys,
     encrypt_block,
-    encrypt_int,
     expand_key,
     int_encryptor,
 )
@@ -307,10 +306,11 @@ def test_encrypt_under_a_second_quasigroup(second_quasigroup, second_quasigroup_
     blocks, rks, round_keys = second_quasigroup_batches[width]
     xs = _block_ints(blocks)
     shared = eng.encrypt(blocks, rks[0], rounds)
-    assert _block_ints(shared) == [encrypt_int(x, round_keys[0], rounds, q) for x in xs]
+    walk = int_encryptor(round_keys[0], rounds, q)
+    assert _block_ints(shared) == [walk(x) for x in xs]
     assert np.array_equal(eng.decrypt(shared, rks[0], rounds), blocks)
     per_block = eng.encrypt(blocks, rks, rounds)
-    assert _block_ints(per_block) == [encrypt_int(x, r, rounds, q) for x, r in zip(xs, round_keys)]
+    assert _block_ints(per_block) == [int_encryptor(r, rounds, q)(x) for x, r in zip(xs, round_keys)]
     assert np.array_equal(eng.decrypt(per_block, rks, rounds), blocks)
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import inru.modes
-from inru.algsys import count_system_size, emit_algebraic_system
 from inru.batch import SLICE_BLOCKS
 from inru.cli import main
 
@@ -634,7 +633,6 @@ def test_full_battery_script_rejects_counts_below_one(flag):
 
 
 AVALANCHE = FULL_BATTERY.with_name("run_avalanche.py")
-EMIT_SYSTEM = FULL_BATTERY.with_name("emit_system.py")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -652,24 +650,11 @@ def test_avalanche_script_rejects_bad_counts(flag, value, message):
 
 
 @pytest.mark.parametrize("rounds", ["0", "17"])
-def test_emit_system_script_rejects_rounds_before_opening_the_output(rounds, tmp_path):
+def test_algsys_rejects_rounds_before_opening_the_output(rounds, tmp_path, capsys):
     out = tmp_path / "system.txt"
-    proc = subprocess.run([sys.executable, str(EMIT_SYSTEM), rounds, str(out)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "argument rounds: rounds must be in 1..16" in proc.stderr
+    assert run_cli("analyze", "algsys", "--rounds", rounds, "--out", str(out)) == 2
+    assert "rounds must be in 1..16" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_emit_system_script_writes_the_system_and_its_counts(tmp_path):
-    out = tmp_path / "system.txt"
-    proc = subprocess.run([sys.executable, str(EMIT_SYSTEM), "1", str(out)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    nonlinear, unknowns = count_system_size(1)
-    assert proc.stdout == (f"1 round(s): {nonlinear} nonlinear equations,"
-                           f" {unknowns} unknowns after linear elimination -> {out}\n")
-    assert out.read_text() == emit_algebraic_system(1).render()
 
 
 def test_full_battery_script_rejects_unknown_modes():
@@ -677,6 +662,15 @@ def test_full_battery_script_rejects_unknown_modes():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "argument --modes: invalid choice: 'xyz'" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("modes", [[], ["ctr", "ctr"]])
+def test_full_battery_script_rejects_empty_or_repeated_modes(modes):
+    proc = subprocess.run([sys.executable, str(FULL_BATTERY), "--modes", *modes],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "argument --modes: " in proc.stderr
     assert proc.stdout == ""
 
 

@@ -16,7 +16,6 @@ from inru.modes import (
     PaddingError,
     _ctr_keystream_bytes,
     cipher_stream,
-    keystream,
     mode_decrypt,
     mode_encrypt,
     pkcs7_pad,
@@ -126,7 +125,7 @@ def test_single_block_cbc_equals_raw_block_encryption():
 def test_ctr_zero_message_equals_keystream():
     cfg = ModeConfig("ctr", nonce=0x01020304)
     ct = mode_encrypt(cfg, RK, b"\x00" * 64)
-    ks = keystream(cfg, RK, 64 * 8)
+    ks = cipher_stream(cfg, RK, 0x00, 64 * 8)
     assert np.array_equal(np.unpackbits(np.frombuffer(ct, np.uint8)), ks)
 
 
@@ -176,8 +175,8 @@ def test_keystream_deterministic_and_distinct_across_keys():
         key = MasterKey(tuple(int(v) for v in rng.integers(0, 16, 32)))
         rk = expand_key(key)
         cfg = ModeConfig("ofb", mode_iv=1)
-        first = keystream(cfg, rk, 128)
-        again = keystream(cfg, rk, 128)
+        first = cipher_stream(cfg, rk, 0x00, 128)
+        again = cipher_stream(cfg, rk, 0x00, 128)
         assert np.array_equal(first, again)
         streams.add(np.packbits(first).tobytes())
     assert len(streams) == 64
@@ -209,13 +208,13 @@ def test_chained_mode_streams_are_tied():
 
 def test_keystream_truncates_to_nbits():
     cfg = ModeConfig("ctr", nonce=1)
-    assert keystream(cfg, RK, 10).size == 10
+    assert cipher_stream(cfg, RK, 0x00, 10).size == 10
 
 
 def test_keystream_rejects_nonpositive():
     cfg = ModeConfig("ofb")
     with pytest.raises(ValueError):
-        keystream(cfg, RK, 0)
+        cipher_stream(cfg, RK, 0x00, 0)
 
 
 def test_ctr_counter_space_limit():

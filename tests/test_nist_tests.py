@@ -4,6 +4,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from inru import nist_tests
 from inru.nist_tests import (
@@ -29,9 +30,10 @@ from inru.nist_tests import (
 )
 from inru.special_functions import erfc
 
-# 100-bit reference sequence; expected p-values were computed with an
-# independent implementation of the same statistics on top of
-# scipy.special (erfc / gammaincc) and frozen here.
+# 100-bit reference sequence of SP 800-22's examples; expected p-values were
+# computed with an independent implementation of the same statistics on top
+# of scipy.special (erfc / gammaincc) and frozen here.  Those of BF, CSF and
+# CSB come from the references below, which their tests also run.
 REF_BITS = np.array(
     [int(c) for c in
      "1100100100001111110110101010001000100001011010001100"
@@ -43,6 +45,9 @@ REF_P = {
     "runs": 0.5007979178870903,
     "srl_m3": (0.3084410411840028, 0.3534546819587805),
     "ae_m2": 0.23530074585897948,
+    "bf_m10": 0.7064384496412808,
+    "csf": 0.21919399348562665,
+    "csb": 0.1148662153025217,
 }
 
 
@@ -100,6 +105,122 @@ def test_reference_sequence_serial():
 def test_reference_sequence_approximate_entropy():
     res = approximate_entropy(REF_BITS, pattern_length=2)
     assert res.p_values[0] == pytest.approx(REF_P["ae_m2"], rel=1e-10)
+
+
+# SP 800-22 Rev. 1a's statistics written out on scipy.special, independent
+# of the module's kernels: the references the pins below are frozen from.
+
+
+def _sp_block_frequency(bits, m):
+    """Section 2.2: chi^2 = 4M sum (pi_i - 1/2)^2 over N = n // M blocks."""
+    nblocks = bits.size // m
+    pi = [bits[i * m : (i + 1) * m].sum() / m for i in range(nblocks)]
+    chi2 = 4.0 * m * sum((p - 0.5) ** 2 for p in pi)
+    return float(sp.gammaincc(nblocks / 2, chi2 / 2))
+
+
+def _sp_cusum(bits, direction):
+    """Section 2.13: z = max |S_k| of the +-1 walk, from the start or from the end."""
+    steps = 2 * bits.astype(np.int64) - 1
+    z = int(np.abs(np.cumsum(steps if direction == "forward" else steps[::-1])).max())
+    n = bits.size
+    phi = lambda k: float(sp.ndtr(k * z / math.sqrt(n)))  # noqa: E731
+    first = sum(phi(4 * k + 1) - phi(4 * k - 1)
+                for k in range(int((-n / z + 1) / 4), int((n / z - 1) / 4) + 1))
+    second = sum(phi(4 * k + 3) - phi(4 * k + 1)
+                 for k in range(int((-n / z - 3) / 4), int((n / z - 1) / 4) + 1))
+    return 1.0 - first + second
+
+
+# Section 2.4.4's categories and probabilities for M = 128: longest run <= 4, 5, ..., >= 9.
+_SP_LRO_128 = ((4, 5, 6, 7, 8, 9), (0.1174, 0.2430, 0.2493, 0.1752, 0.1027, 0.1124))
+
+
+def _sp_longest_run(bits):
+    """Section 2.4 with M = 128: chi^2 over the blocks' longest runs of ones, K = 5."""
+    edges, probs = _SP_LRO_128
+    nblocks = bits.size // 128
+    counts = [0] * len(edges)
+    for b in range(nblocks):
+        block = bits[b * 128 : (b + 1) * 128].tolist()
+        longest = max((len(list(g)) for v, g in groupby(block) if v), default=0)
+        counts[min(max(longest, edges[0]), edges[-1]) - edges[0]] += 1
+    chi2 = sum((c - nblocks * p) ** 2 / (nblocks * p) for c, p in zip(counts, probs))
+    return float(sp.gammaincc(5 / 2, chi2 / 2))
+
+
+def _sp_dft(bits):
+    """Section 2.6 with the module's variance n * 0.95 * 0.05 / 4, on the full complex FFT."""
+    n = bits.size
+    moduli = np.abs(np.fft.fft(2.0 * bits - 1.0))[: n // 2]
+    n1 = int((moduli < math.sqrt(math.log(1 / 0.05) * n)).sum())
+    d = (n1 - 0.95 * n / 2) / math.sqrt(n * 0.95 * 0.05 / 4)
+    return float(sp.erfc(abs(d) / math.sqrt(2)))
+
+
+def _sp_rank_probability(r, m=32, q=32):
+    """Section 3.5: the probability that a random M x Q binary matrix has rank r."""
+    prod = math.prod((1 - 2.0 ** (i - q)) * (1 - 2.0 ** (i - m)) / (1 - 2.0 ** (i - r))
+                     for i in range(r))
+    return 2.0 ** (r * (q + m - r) - m * q) * prod
+
+
+def _sp_gf2_rank(matrix):
+    """Rank over GF(2) by forward elimination on a 0/1 array."""
+    a = matrix.copy()
+    rank = 0
+    for col in range(a.shape[1]):
+        pivots = np.flatnonzero(a[rank:, col])
+        if pivots.size:
+            a[[rank, rank + pivots[0]]] = a[[rank + pivots[0], rank]]
+            a[rank + 1 :][a[rank + 1 :, col] == 1] ^= a[rank]
+            rank += 1
+    return rank
+
+
+def _sp_rank(bits):
+    """Section 2.5 with 32 x 32 matrices: chi^2 over full, full - 1 and lower rank."""
+    nmat = bits.size // 1024
+    ranks = [_sp_gf2_rank(bits[i * 1024 : (i + 1) * 1024].reshape(32, 32)) for i in range(nmat)]
+    full, fm1 = ranks.count(32), ranks.count(31)
+    observed = (full, fm1, nmat - full - fm1)
+    p_full, p_fm1 = _sp_rank_probability(32), _sp_rank_probability(31)
+    expected = [nmat * p for p in (p_full, p_fm1, 1 - p_full - p_fm1)]
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return float(sp.gammaincc(1, chi2 / 2))
+
+
+def test_reference_sequence_block_frequency():
+    ref = _sp_block_frequency(REF_BITS, 10)
+    assert ref == pytest.approx(REF_P["bf_m10"], rel=1e-10)
+    assert block_frequency(REF_BITS, block_size=10).p_values[0] == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("direction, test", [("forward", "csf"), ("backward", "csb")])
+def test_reference_sequence_cumulative_sums(direction, test):
+    ref = _sp_cusum(REF_BITS, direction)
+    assert ref == pytest.approx(REF_P[test], rel=1e-10)
+    assert cumulative_sums(REF_BITS, direction).p_values[0] == pytest.approx(ref, rel=1e-10)
+
+
+# p-values of seeded sequences long enough for each test, frozen from the
+# references above: (test, length, seed) -> p.  The DFT lengths take the
+# four-step count (2^16) and the direct one (the prime 10007).
+SEEDED_P = {
+    ("LRO", 1 << 14, 12): 0.7585786431424223,
+    ("DFT", 1 << 16, 13): 0.8973209731819122,
+    ("DFT", 10007, 14): 0.6026513434974587,
+    ("Rank", 1 << 16, 15): 0.038548994486453665,
+}
+_SP_REFERENCES = {"LRO": _sp_longest_run, "DFT": _sp_dft, "Rank": _sp_rank}
+
+
+@pytest.mark.parametrize("test, n, seed", SEEDED_P)
+def test_seeded_sequences_match_the_standard(test, n, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, n, dtype=np.uint8)
+    ref = _SP_REFERENCES[test](bits)
+    assert ref == pytest.approx(SEEDED_P[test, n, seed], rel=1e-10)
+    assert ALL_TESTS[test](bits).p_values[0] == pytest.approx(ref, rel=1e-10)
 
 
 def test_determinism():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from inru.special_functions import erf, erfc, igam, igamc, normal_cdf
+from inru.special_functions import erfc, igamc, normal_cdf
 
 REL_TOL = 1e-10
 
@@ -19,7 +19,6 @@ def test_erfc_against_stdlib_and_scipy():
 
 def test_erfc_edge_values():
     assert erfc(0.0) == 1.0
-    assert erf(0.0) == 0.0
     assert erfc(-3.0) == pytest.approx(2.0 - erfc(3.0), rel=1e-14)
 
 
@@ -31,12 +30,10 @@ def test_igamc_against_scipy_over_grid():
             if ref < 1e-290:
                 continue
             assert igamc(a, x) == pytest.approx(ref, rel=REL_TOL)
-            assert igam(a, x) == pytest.approx(float(sp.gammainc(a, x)), rel=REL_TOL)
 
 
 def test_igamc_special_cases():
     assert igamc(1.0, 0.0) == 1.0
-    assert igam(1.0, 0.0) == 0.0
     # Q(1, x) is exactly exp(-x)
     for x in (0.1, 1.0, 5.0, 30.0):
         assert igamc(1.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
@@ -47,8 +44,6 @@ def test_igamc_rejects_bad_arguments():
         igamc(0.0, 1.0)
     with pytest.raises(ValueError):
         igamc(1.0, -0.5)
-    with pytest.raises(ValueError):
-        igam(-1.0, 1.0)
 
 
 def test_normal_cdf():
