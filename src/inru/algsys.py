@@ -28,17 +28,11 @@ from .quasigroup import INRU
 
 Monomial = tuple[str, ...]  # sorted variable names; () is the constant 1
 
-KEY_XOR = "key_xor"
-SBOX = "sbox"
-DIFFUSION = "diffusion"
-OUTPUT = "output"
-
 
 @dataclass(frozen=True)
 class Equation:
     """A polynomial equated to zero; ``defined_var`` is the variable it introduces."""
 
-    kind: str
     defined_var: str
     monomials: frozenset[Monomial]
 
@@ -120,7 +114,7 @@ def _substituted_sbox_equation(
     for mask in anf_monomials:
         m = tuple(sorted(names[k] for k in range(8) if (mask >> k) & 1))
         monos.symmetric_difference_update({m})
-    return Equation(SBOX, out, frozenset(monos))
+    return Equation(out, frozenset(monos))
 
 
 def emit_algebraic_system(rounds: int) -> AlgebraicSystem:
@@ -138,7 +132,7 @@ def emit_algebraic_system(rounds: int) -> AlgebraicSystem:
         variables += kv + yv + zv
         for i in range(64):
             equations.append(
-                Equation(KEY_XOR, yv[i], frozenset({(yv[i],), (kv[i],), (prev[i],)}))
+                Equation(yv[i], frozenset({(yv[i],), (kv[i],), (prev[i],)}))
             )
         # odd rounds chain left to right from the key's first nibble, even
         # rounds right to left from its last
@@ -157,7 +151,7 @@ def emit_algebraic_system(rounds: int) -> AlgebraicSystem:
             carry = () if r & 1 else ((),)
             for i in (range(63, -1, -1) if r & 1 else range(64)):
                 equations.append(
-                    Equation(DIFFUSION, uv[i], frozenset({(uv[i],), (zv[i],), *carry}))
+                    Equation(uv[i], frozenset({(uv[i],), (zv[i],), *carry}))
                 )
                 carry = ((uv[i],),)
             prev = uv
@@ -169,7 +163,7 @@ def emit_algebraic_system(rounds: int) -> AlgebraicSystem:
     variables += last_key + cv
     for i in range(64):
         equations.append(
-            Equation(OUTPUT, last_key[i], frozenset({(cv[i],), (prev[i],), (last_key[i],)}))
+            Equation(last_key[i], frozenset({(cv[i],), (prev[i],), (last_key[i],)}))
         )
     knowns = frozenset(f"x{i}" for i in range(64)) | frozenset(cv)
     return AlgebraicSystem(rounds, tuple(equations), tuple(variables), knowns)

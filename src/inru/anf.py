@@ -70,18 +70,6 @@ class Anf:
             raise ValueError("mixed variable counts")
         return Anf(self.num_vars, self.monomials ^ other.monomials)
 
-    def to_str(self, names: Sequence[str]) -> str:
-        """Render as '+'-joined monomials with '*'-joined variables."""
-        if not self.monomials:
-            return "0"
-        parts = []
-        for m in sorted(self.monomials, key=lambda m: (-m.bit_count(), _mono_key(m, self.num_vars))):
-            if m == 0:
-                parts.append("1")
-            else:
-                parts.append("*".join(names[k] for k in range(self.num_vars) if (m >> k) & 1))
-        return "+".join(parts)
-
     @classmethod
     def from_str(cls, text: str, names: Sequence[str]) -> "Anf":
         index = {n: k for k, n in enumerate(names)}
@@ -119,14 +107,6 @@ class Anf:
         )
         return cls(num_vars, monomials)
 
-    def truth_table(self) -> list[int]:
-        """Inverse of from_truth_table (same index convention)."""
-        top = self.num_vars - 1
-        coeffs = [0] * (1 << self.num_vars)
-        for m in self.monomials:
-            coeffs[_reverse_bits(m, top)] = 1
-        return moebius_transform(coeffs)
-
 
 def _reverse_bits(mask: int, top: int) -> int:
     out = 0
@@ -134,10 +114,6 @@ def _reverse_bits(mask: int, top: int) -> int:
         if (mask >> k) & 1:
             out |= 1 << (top - k)
     return out
-
-
-def _mono_key(mask: int, num_vars: int):
-    return tuple(k for k in range(num_vars) if (mask >> k) & 1)
 
 
 def product_truth_table(q: Quasigroup, i: int) -> list[int]:

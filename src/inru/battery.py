@@ -124,9 +124,8 @@ class TestReport:
             note = r.inapplicable_note()
             if note:
                 params.append(note)
-            lines.append(
-                f"{r.test:6s} {TEST_NAMES[r.test]:28s} {mean:>8s} {passes:>7s}  {', '.join(params)}"
-            )
+            row = f"{r.test:6s} {TEST_NAMES[r.test]:28s} {mean:>8s} {passes:>7s}  {', '.join(params)}"
+            lines.append(row.rstrip())
         return "\n".join(lines) + "\n"
 
     def machine_lines(self) -> str:
@@ -245,9 +244,6 @@ def ks_uniformity_statistic(p_values) -> float:
     return float(max(np.max(hi - ps), np.max(ps - lo)))
 
 
-def ks_critical_value(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic KS critical value; 1.628/sqrt(n) at the 1% level."""
-    coeff = {0.10: 1.224, 0.05: 1.358, 0.01: 1.628}
-    if alpha not in coeff:
-        raise ValueError(f"no tabulated coefficient for alpha={alpha}")
-    return coeff[alpha] / np.sqrt(n)
+def ks_critical_value(n: int) -> float:
+    """Asymptotic KS critical value at the 1% level: 1.628/sqrt(n)."""
+    return 1.628 / np.sqrt(n)

@@ -32,17 +32,17 @@ for a keyed byte holds the next row and the output byte.  The block is
 unpacked into its eight output bytes once on entry and packed back once
 on exit: between rounds the state stays in those bytes, and the
 complement a round owes is folded into the next round's key bytes.  It
-binds the round plan of one key schedule once and returns the block
-function, so a chained mode pays for the plan once per message;
-:func:`encrypt_block` is a one-block view over it.  The key schedule here
-runs on :meth:`Quasigroup.apply_chain`.
+binds the round plan of one key schedule (its :attr:`RoundKeys.key_bytes`)
+once and returns the block function, so a chained mode pays for the plan
+once per message; :func:`encrypt_block` is a one-block view over it.
+The key schedule here runs on :meth:`Quasigroup.apply_chain`.
 
 Decryption, the four diffusion primitives and the traced encryption are
 one-block views over :class:`inru.batch.BatchCipher`, the library's only
 implementation of each: decryption and the diffusion primitives pass it
 the block's 8 bytes as byte rows, the engine's only state format, and
 decryption passes :attr:`RoundKeys.key_bytes`, the engine's (17, 8) byte
-round keys.
+round keys and the one round-key form besides the ``Block`` tuple.
 
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -178,20 +178,13 @@ class RoundKeys:
     def __getitem__(self, i: int) -> Block:
         return self.keys[i]
 
-    @classmethod
-    def from_hex(cls, texts: Iterable[str]) -> "RoundKeys":
-        return cls(tuple(Block.from_hex(t) for t in texts))
-
-    @cached_property
-    def ints(self) -> tuple[int, ...]:
-        """The round keys as 64-bit integers (``Block.to_int``), computed once."""
-        return tuple(k.to_int() for k in self.keys)
-
     @cached_property
     def key_bytes(self) -> np.ndarray:
         """A read-only (17, 8) uint8 array, computed once: the ``rks`` of the byte engine."""
-        data = b"".join(k.to_bytes(8, "big") for k in self.ints)
-        return np.frombuffer(data, dtype=np.uint8).reshape(17, 8)
+        nibbles = np.array([k.nibbles for k in self.keys], dtype=np.uint8)
+        rks = (nibbles[:, 0::2] << 4) | nibbles[:, 1::2]
+        rks.flags.writeable = False
+        return rks
 
 
 # -- round primitives --------------------------------------------------------
@@ -224,9 +217,6 @@ def undiffuse_right(b: Block) -> Block:
 # -- Algorithms 1 and 2 ------------------------------------------------------
 
 
-_ALL_ONES = (1 << 64) - 1
-
-
 @lru_cache(maxsize=8)
 def _round_table_rows(q: Quasigroup) -> tuple[list[list], list[list], list[list]]:
     """The round tables of :func:`inru.batch.tables` as linked rows.
@@ -255,11 +245,11 @@ def int_encryptor(
 ) -> Callable[[int], int]:
     """:func:`encrypt_block` under fixed round keys, on the block's 64-bit integer.
 
-    The per-round plan (the round key's bytes and their complement, the
-    start row of the round's walk, walk direction) is bound once.  The
-    walk runs over the linked rows of :func:`_round_table_rows`: a step
-    ``s, o_j = s[o_j ^ k_j]`` reads keyed byte j and moves to the next row
-    in one subscript.  The block is unpacked into its eight output bytes
+    The per-round plan (the round key's row of :attr:`RoundKeys.key_bytes`
+    and its complement, the start row of the round's walk, walk
+    direction) is bound once.  The walk runs over the linked rows of
+    :func:`_round_table_rows`: a step ``s, o_j = s[o_j ^ k_j]`` reads
+    keyed byte j and moves to the next row in one subscript.  The block is unpacked into its eight output bytes
     ``o0..o7`` on entry and stays there between rounds; the eight steps of
     a round are written out in its direction.  The all-ones complement
     that a round owes when its final row's parity ``c = s[256]`` is 1 is
@@ -269,19 +259,19 @@ def int_encryptor(
     """
     check_rounds(rounds)
     odd, even, last = _round_table_rows(q)
-    keys = rk.ints
+    keys, comps = rk.key_bytes.tolist(), (rk.key_bytes ^ 255).tolist()
     plan = []
     for i in range(1, rounds + 1):
         k = keys[i - 1]
-        ks = (tuple(k.to_bytes(8, "big")), tuple((k ^ _ALL_ONES).to_bytes(8, "big")))
+        ks = (tuple(k), tuple(comps[i - 1]))
         if i & 1:  # leader: first nibble of the odd round's key
-            plan.append((ks, odd[(k >> 60) << 1], True))
+            plan.append((ks, odd[(k[0] >> 4) << 1], True))
         else:  # leader: last nibble of the even round's key
             # Only the literal 16th round drops its diffusion step.
-            plan.append((ks, (even if i != 16 else last)[(k & 15) << 1], False))
+            plan.append((ks, (even if i != 16 else last)[(k[7] & 15) << 1], False))
     plan = tuple(plan)
-    whitening = (keys[rounds], keys[rounds] ^ _ALL_ONES)
     from_bytes = int.from_bytes
+    whitening = (from_bytes(bytes(keys[rounds]), "big"), from_bytes(bytes(comps[rounds]), "big"))
 
     def encrypt(x: int) -> int:
         o0, o1, o2, o3, o4, o5, o6, o7 = x.to_bytes(8, "big")

@@ -70,20 +70,6 @@ class DataError(Exception):
     """Verification or data-format failure (exit code 3)."""
 
 
-def _default_jobs() -> int:
-    """``INRU_JOBS``: 1 when unset or empty, else a positive integer or a usage error."""
-    value = os.environ.get("INRU_JOBS", "")
-    if not value:
-        return 1
-    try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"INRU_JOBS must be a positive integer, got {value!r}")
-    return jobs
-
-
 def _write_output(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -234,8 +220,6 @@ def cmd_analyze(args) -> int:
     for flag, default in _ANALYZE_DEFAULTS.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-    if args.jobs is None and "jobs" in honoured:
-        args.jobs = _default_jobs()
     _write_output(args.out, analyze(args))
     return EXIT_OK
 
@@ -362,7 +346,7 @@ _ANALYZE_FLAGS = set().union(*(flags for _, flags in _INSTRUMENTS.values()))
 _ANALYZE_DEFAULTS = {
     "view": "wide", "leader": "0", "rounds": 16, "trials": 1000, "keys": 6,
     "bits": 1 << 20, "mode": "ctr", "input": "zeros", "delta": "000000000000000f",
-    "seed": 0, "machine": False,
+    "seed": 0, "jobs": 1, "machine": False,
 }
 
 
@@ -417,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", choices=["zeros", "ones"])
     sp.add_argument("--delta", type=_nonempty, help="input difference for diff-prop, 16 hex digits")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--jobs", type=int, help="worker processes (default: INRU_JOBS or 1)")
+    sp.add_argument("--jobs", type=int, help="worker processes (default 1)")
     sp.add_argument("--machine", action="store_true", default=None,
                     help="append machine-readable lines")
     sp.add_argument("--out", type=_nonempty, help="output file (default stdout)")

@@ -212,7 +212,8 @@ def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.n
 
     This is the sequence-forming convention for the statistical battery:
     the randomness of a mode is judged on what it outputs for the constant
-    all-zeros (or all-ones) plaintext stream.
+    all-zeros (or all-ones) plaintext stream.  The message is whole
+    blocks, so a CBC PKCS#7 padding block follows it and is cut off.
 
     Under one key, with E the block encryption and ~ the all-ones
     complement, the chained modes' streams are tied to each other:
@@ -232,9 +233,6 @@ def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.n
         raise ValueError("nbits must be positive")
     nbytes = (nbits + 7) // 8
     msg = bytes([fill]) * (((nbytes + 7) // 8) * 8)
-    cbc = cfg.padding != "none" and cfg.mode == "cbc"
-    if cbc:
-        cfg = ModeConfig(cfg.mode, cfg.mode_iv, cfg.nonce, "none")
     ct = mode_encrypt(cfg, rk, msg)
     bits = np.unpackbits(np.frombuffer(ct, dtype=np.uint8))
     return bits[:nbits]

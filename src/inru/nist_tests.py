@@ -53,9 +53,9 @@ nine:
   column on a (matrices, rows) array of 64-bit row words
   (:func:`_gf2_ranks`); :func:`gf2_rank` is the one-matrix reference.
 * The cumulative sums tests scan the random walk S_0 = 0, S_1, ..., S_n
-  in chunks of ``int32`` cumsums, carrying S and its extremes.  Forward,
-  z = max(max S, -min S); backward, the partial sums from the end are
-  S_n - S_k for k < n, so z needs no reversed copy.
+  in chunks of ``int32`` steps summed in place, carrying S and its
+  extremes.  Forward, z = max(max S, -min S); backward, the partial sums
+  from the end are S_n - S_k for k < n, so z needs no reversed copy.
 
 These kernels give the same counts, and so bit-identical p-values, as the
 direct loops they replaced; the tests hold each to such a loop.
@@ -210,9 +210,10 @@ def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     # them a chunk at a time, carrying S at the chunk start and the extremes
     lo = hi = s_n = 0
     for start in range(0, n, _CHUNK_BITS):
-        steps = bits[start : start + _CHUNK_BITS].view(np.int8) * np.int8(2)
-        steps -= 1
-        s = np.cumsum(steps, dtype=np.int32)
+        s = bits[start : start + _CHUNK_BITS].astype(np.int32)
+        s <<= 1
+        s -= 1
+        np.cumsum(s, out=s)
         lo = min(lo, s_n + int(s.min()))
         hi = max(hi, s_n + int(s.max()))
         s_n += int(s[-1])
@@ -485,21 +486,19 @@ def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def matrix_rank(seq, rows: int = 32, cols: int = 32) -> TestResult:
+def matrix_rank(seq) -> TestResult:
+    """SP 800-22's rank test on 32x32 matrices."""
     bits = _as_bits(seq)
     n = bits.size
-    _require(1 <= cols <= 64, f"Rank packs a matrix row into 64 bits; cols {cols} not in 1..64")
-    # Full rank means rank == rows, which needs rows <= cols.
-    _require(1 <= rows <= cols, f"Rank needs 1 <= rows <= cols, got rows {rows}, cols {cols}")
-    nmat = n // (rows * cols)
+    nmat = n // (32 * 32)
     if nmat < 38:
-        return _too_short("Rank", n, 38 * rows * cols)
-    ranks = _gf2_ranks(bits[: nmat * rows * cols].reshape(nmat, rows, cols))
-    full = int((ranks == rows).sum())
-    fm1 = int((ranks == rows - 1).sum())
+        return _too_short("Rank", n, 38 * 32 * 32)
+    ranks = _gf2_ranks(bits[: nmat * 32 * 32].reshape(nmat, 32, 32))
+    full = int((ranks == 32).sum())
+    fm1 = int((ranks == 31).sum())
     lower = nmat - full - fm1
-    p_full = _rank_probability(rows, cols, rows)
-    p_fm1 = _rank_probability(rows, cols, rows - 1)
+    p_full = _rank_probability(32, 32, 32)
+    p_fm1 = _rank_probability(32, 32, 31)
     p_low = 1.0 - p_full - p_fm1
     chi2 = (
         (full - nmat * p_full) ** 2 / (nmat * p_full)

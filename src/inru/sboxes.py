@@ -19,13 +19,9 @@ import numpy as np
 
 from .quasigroup import Quasigroup
 
-ROW = "row"
-WIDE = "wide"
-
 
 @dataclass(frozen=True)
 class SboxView:
-    kind: str
     input_bits: int
     output_bits: int
     table: tuple[int, ...]
@@ -47,14 +43,14 @@ def row_sbox(q: Quasigroup, leader: int) -> SboxView:
     _check_order(q)
     if not 0 <= leader < q.order:
         raise ValueError(f"leader must be in 0..{q.order - 1}, got {leader}")
-    return SboxView(ROW, 4, 4, q.row(leader), leader)
+    return SboxView(4, 4, q.row(leader), leader)
 
 
 def wide_sbox(q: Quasigroup) -> SboxView:
     """The 8x4 Sbox S: (l, x) -> l*x with input (l << 4) | x."""
     _check_order(q)
     table = tuple(q.mul_table[l][x] for l in range(16) for x in range(16))
-    return SboxView(WIDE, 8, 4, table)
+    return SboxView(8, 4, table)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def test_criterion_09_ks_calibration():
     rng = np.random.default_rng(110)
     n_seq, nbits = 200, 1 << 17
     seqs = rng.integers(0, 2, size=(n_seq, nbits), dtype=np.uint8)
-    crit = ks_critical_value(n_seq, 0.01)
+    crit = ks_critical_value(n_seq)
     worst = {}
     for tid, fn in ALL_TESTS.items():
         ps = [p for j in range(n_seq) for p in fn(seqs[j]).p_values]

@@ -1,4 +1,3 @@
-import random
 from pathlib import Path
 
 import pytest
@@ -38,13 +37,6 @@ def test_moebius_transform_is_an_involution(tt):
 def test_moebius_rejects_bad_length():
     with pytest.raises(ValueError):
         moebius_transform([0, 1, 1])
-
-
-@given(st.integers(0, 2**16 - 1))
-def test_anf_truth_table_round_trip(bits):
-    tt = [(bits >> i) & 1 for i in range(16)]
-    anf = Anf.from_truth_table(tt, 4)
-    assert anf.truth_table() == tt
 
 
 def test_coordinate_anf_exactly_matches_frozen_polynomials():
@@ -108,14 +100,6 @@ def test_degree_rejects_bad_mask():
         algebraic_degree(INRU, 0)
     with pytest.raises(ValueError):
         algebraic_degree(INRU, 16)
-
-
-def test_anf_string_round_trip(rng):
-    r = random.Random(4)
-    monos = frozenset(r.randrange(256) for _ in range(40))
-    anf = Anf(8, monos)
-    text = anf.to_str(PRODUCT_VAR_NAMES)
-    assert Anf.from_str(text, PRODUCT_VAR_NAMES).monomials == monos
 
 
 def test_anf_xor_and_degree():

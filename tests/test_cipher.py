@@ -380,13 +380,6 @@ def test_int_engine_under_a_second_quasigroup(rounds, rng):
         assert decrypt_block(want, rks, rounds, q) == m
 
 
-def test_round_key_ints_are_cached_block_ints(rng):
-    rks = expand_key(random_key(rng), random_iv(rng))
-    assert rks.ints == tuple(k.to_int() for k in rks.keys)
-    assert rks.ints is rks.ints
-    assert RoundKeys.from_hex(k.to_hex() for k in rks.keys) == rks
-
-
 def test_two_round_inverse_exhaustive_last_nibble(rng):
     rks = expand_key(random_key(rng))
     for v in range(16):

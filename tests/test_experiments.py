@@ -1,5 +1,7 @@
 import multiprocessing.process
 import operator
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -196,6 +198,16 @@ def test_run_units_rejects_no_jobs():
         run_units(operator.neg, [1], 0)
 
 
+def test_import_loads_no_process_pool():
+    # run_units imports the pool only when it starts workers, so the
+    # import time of every entry point stays free of it.
+    code = ("import sys, inru, inru.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_key_avalanche_small_run():
     res = avalanche_key(trials=40, seed=10)
     assert res.min_roundkey_flips >= 1  # no key-bit flip ever leaves round keys unchanged
@@ -241,7 +253,7 @@ def test_key_avalanche_follows_the_scalar_definitions(rounds):
         c = encrypt_block(m, rk, rounds)
         for b in range(128):
             flipped = expand_key(key.flip_bit(b))
-            rk_diffs[t, b] = sum(bin(x ^ y).count("1") for x, y in zip(rk.ints, flipped.ints))
+            rk_diffs[t, b] = np.unpackbits(rk.key_bytes ^ flipped.key_bytes).sum()
             d = encrypt_block(m, flipped, rounds)
             ct_diffs[t, b] = sum(c.bit(j) != d.bit(j) for j in range(64))
     assert res.min_roundkey_flips == rk_diffs.min()

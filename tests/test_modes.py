@@ -182,9 +182,14 @@ def test_keystream_deterministic_and_distinct_across_keys():
     assert len(streams) == 64
 
 
-@pytest.mark.parametrize("mode", ["cbc", "cfb", "ofb", "ctr"])
-def test_cipher_stream_matches_mode_encrypt(mode):
-    cfg = ModeConfig(mode, mode_iv=3, nonce=9, padding="none")
+@pytest.mark.parametrize(
+    "mode, padding",
+    [("cbc", "none"), ("cfb", "none"), ("ofb", "none"), ("ctr", "none"), ("cbc", "pkcs7")],
+    ids=["cbc", "cfb", "ofb", "ctr", "cbc-pkcs7"],
+)
+def test_cipher_stream_matches_mode_encrypt(mode, padding):
+    # Under PKCS#7 the padding block follows the message, past the bits kept.
+    cfg = ModeConfig(mode, mode_iv=3, nonce=9, padding=padding)
     nbits = 1024
     got = cipher_stream(cfg, RK, 0xFF, nbits)
     ct = mode_encrypt(cfg, RK, b"\xff" * (nbits // 8))

@@ -532,17 +532,6 @@ def test_batched_rank_on_constructed_ranks():
     assert _gf2_ranks(mats).tolist() == ranks
 
 
-def test_matrix_rank_sizes():
-    rng = np.random.default_rng(15)
-    assert matrix_rank(rng.integers(0, 2, 40 * 16 * 64, dtype=np.uint8), 16, 64).params["matrices"] == 40
-    with pytest.raises(ValueError, match="64"):
-        matrix_rank(np.ones(40 * 8 * 65, np.uint8), 8, 65)
-    with pytest.raises(ValueError):
-        matrix_rank(np.ones(4096, np.uint8), 0, 32)
-    with pytest.raises(ValueError, match="rows <= cols"):
-        matrix_rank(np.ones(40 * 40 * 16, np.uint8), 40, 16)
-
-
 def _int64_excursion(bits, direction):
     """The maximal partial-sum excursion z, by the plain int64 formula."""
     x = 2 * bits.astype(np.int64) - 1
@@ -591,6 +580,21 @@ def test_kernel_memory_is_bounded(test):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+@pytest.mark.parametrize("test", ["CSF", "CSB"])
+def test_cumulative_sums_scan_sums_its_steps_in_place(test):
+    # Two int32 chunks of steps (256 KiB each) at most; letting cumsum cast
+    # an int8 chunk to int32 traced 0.81 MiB.
+    bits = np.random.default_rng(17).integers(0, 2, 1 << 20, dtype=np.uint8)
+    ALL_TESTS[test](bits)
+    tracemalloc.start()
+    try:
+        ALL_TESTS[test](bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2**20
 
 
 @pytest.mark.parametrize("test", ["Srl", "AE"])

@@ -125,4 +125,4 @@ def test_view_validation():
     from inru.sboxes import SboxView
 
     with pytest.raises(ValueError):
-        SboxView("row", 4, 4, (0, 1, 2))
+        SboxView(4, 4, (0, 1, 2))
