@@ -11,14 +11,14 @@ results fold in key order, so stdout is the same for every --jobs.  A
 sequence's DFT test runs on a second thread beside the other nine, so a
 single job uses both cores during the tests; with --jobs 2 both cores
 already run a worker.  On a 2-core Intel Xeon VM (Python 3.11, numpy 2.4)
-with a drifting load, two runs of --seed 0 took 66 s and 70 s single-job
-(8-11 s per CBC/CFB/OFB table, 3-4 s per CTR table) at a peak RSS of
-52 MiB, and 29 s and 46 s with --jobs 2, the script at 38 MiB and its
-largest worker at 45 MiB.  With one full-length FFT in the DFT test
-instead of the four-step one, the same runs took 64 s and 77 s at
-75 MiB single-job, and 42 s and 49 s with --jobs 2, its largest
-process at 67 MiB.  Per-table wall times and peak RSS go to stderr, so
-the seeded stdout is byte-identical.
+with a drifting load, --seed 0 took 38.5 s single-job (6 s per
+CBC/CFB/OFB table, 1 s per CTR table) at a peak RSS of 51 MiB, and
+22.4 s with --jobs 2, the script at 38 MiB and its largest worker at
+44 MiB.  With the tests reading the sequence unpacked, one byte a bit,
+instead of as packed bytes, the same runs a minute later took 45.5 s
+(7 s and 2 s per table) at 52 MiB, and 27.0 s with --jobs 2.  Per-table
+wall times and peak RSS go to stderr, so the seeded stdout is
+byte-identical.
 """
 
 import argparse

@@ -13,9 +13,11 @@ denominator is the number of sequences the test applies to.  The reports
 print that count and the reason, and print ``n/a`` as the mean of a test
 that applies to no sequence.
 
-A sequence's ten tests run on two threads: DFT on a helper thread, the
-other nine on the calling thread (:func:`_test_sequence`).  Results are
-the same as the ten run in turn, in ``ALL_TESTS`` order.
+A sequence travels as packed bytes, a :class:`BitSequence`, from the
+cipher stream to the tests, which read it without unpacking.  Its ten
+tests run on two threads: DFT on a helper thread, the other nine on the
+calling thread (:func:`_test_sequence`).  Results are the same as the
+ten run in turn, in ``ALL_TESTS`` order.
 """
 
 from __future__ import annotations
@@ -29,29 +31,7 @@ import numpy as np
 from .cipher import MasterKey, expand_key
 from .experiments import run_units
 from .modes import ModeConfig, cipher_stream
-from .nist_tests import ALL_TESTS, ALPHA, TEST_NAMES, TestResult
-
-
-@dataclass(frozen=True)
-class BitSequence:
-    """A packed bit string (big-endian bit order inside each byte)."""
-
-    data: bytes
-    nbits: int
-
-    def __post_init__(self):
-        if self.nbits <= 0:
-            raise ValueError("BitSequence needs a positive bit count")
-        if len(self.data) != (self.nbits + 7) // 8:
-            raise ValueError("packed data length does not match nbits")
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitSequence":
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(np.packbits(bits).tobytes(), bits.size)
-
-    def bits(self) -> np.ndarray:
-        return np.unpackbits(np.frombuffer(self.data, np.uint8))[: self.nbits]
+from .nist_tests import ALL_TESTS, ALPHA, TEST_NAMES, BitSequence, TestResult, as_bit_sequence
 
 
 @dataclass(frozen=True)
@@ -138,29 +118,31 @@ class TestReport:
         return "\n".join(out) + "\n"
 
 
-def _test_sequence(bits: np.ndarray) -> tuple[TestResult, ...]:
-    """The ten tests on one sequence, in ``ALL_TESTS`` order.
+def _test_sequence(seq: BitSequence) -> tuple[TestResult, ...]:
+    """The ten tests on one packed sequence, in ``ALL_TESTS`` order.
 
-    DFT, about a third of the tests' time and mostly FFTs that release the
-    GIL, runs on a helper thread while this thread runs the other nine.
-    Its blocked four-step FFT adds ~10 MiB of RSS at 2^20 bits (~10 bytes
-    a bit, against 32 MiB for one full-length FFT), the most of any test.
-    The helper is joined before this returns or raises, so no thread
-    outlives the call (``run_units`` forks its workers), and an exception
-    raised in it is raised here.
+    DFT, mostly FFTs that release the GIL, runs on a helper thread while
+    this thread runs the other nine on the same bytes.  At 2^20 bits DFT
+    takes longer than the nine together (16 ms against 13 ms, medians on
+    a 2-core VM), so it sets the sequence's time.  Its blocked four-step FFT
+    adds ~10 MiB of RSS at 2^20 bits (~10 bytes a bit, against 32 MiB for
+    one full-length FFT), the most of any test.  The helper is joined
+    before this returns or raises, so no thread outlives the call
+    (``run_units`` forks its workers), and an exception raised in it is
+    raised here.
     """
     dft = []  # the helper's result or exception
 
     def run_dft():
         try:
-            dft.append(ALL_TESTS["DFT"](bits))
+            dft.append(ALL_TESTS["DFT"](seq))
         except BaseException as exc:  # handed to the calling thread
             dft.append(exc)
 
     helper = threading.Thread(target=run_dft, name="inru-dft")
     helper.start()
     try:
-        results = {t: fn(bits) for t, fn in ALL_TESTS.items() if t != "DFT"}
+        results = {t: fn(seq) for t, fn in ALL_TESTS.items() if t != "DFT"}
     finally:
         helper.join()
     if isinstance(dft[0], BaseException):
@@ -182,11 +164,10 @@ def _report(rows: list[tuple[TestResult, ...]], **labels) -> TestReport:
 
 
 def run_battery(sequences: list[BitSequence] | list[np.ndarray]) -> TestReport:
-    """Run every test on every sequence."""
+    """Run every test on every sequence; a 0/1 array is checked and packed first."""
     if not sequences:
         raise ValueError("run_battery needs at least one sequence")
-    arrays = (s.bits() if isinstance(s, BitSequence) else s for s in sequences)
-    return _report([_test_sequence(np.asarray(a, np.uint8)) for a in arrays])
+    return _report([_test_sequence(as_bit_sequence(s)) for s in sequences])
 
 
 def _one_key_results(args) -> tuple[TestResult, ...]:

@@ -27,6 +27,7 @@ import numpy as np
 from .batch import BatchCipher
 # encrypt_block is re-exported: ``inru.modes.encrypt_block`` stays importable.
 from .cipher import RoundKeys, encrypt_block, int_encryptor  # noqa: F401
+from .nist_tests import BitSequence
 
 MODES = ("cbc", "cfb", "ofb", "ctr")
 BLOCK_BYTES = 8
@@ -207,13 +208,16 @@ def mode_decrypt(cfg: ModeConfig, rk: RoundKeys, ct: bytes) -> bytes:
     return stream.update(ct) + stream.finalize()
 
 
-def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.ndarray:
-    """First ``nbits`` bits of the ciphertext of a constant ``fill``-byte message.
+def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> BitSequence:
+    """First ``nbits`` bits of the ciphertext of a constant ``fill``-byte message, packed.
 
     This is the sequence-forming convention for the statistical battery:
     the randomness of a mode is judged on what it outputs for the constant
     all-zeros (or all-ones) plaintext stream.  The message is whole
-    blocks, so a CBC PKCS#7 padding block follows it and is cut off.
+    blocks, so a CBC PKCS#7 padding block follows it and is cut off.  The
+    sequence keeps the ciphertext's first ``ceil(nbits / 8)`` bytes as
+    they are, msb first, with the bits past ``nbits`` cleared: 128 KiB
+    for the battery's 2^20 bits, which the tests read without unpacking.
 
     Under one key, with E the block encryption and ~ the all-ones
     complement, the chained modes' streams are tied to each other:
@@ -233,6 +237,4 @@ def cipher_stream(cfg: ModeConfig, rk: RoundKeys, fill: int, nbits: int) -> np.n
         raise ValueError("nbits must be positive")
     nbytes = (nbits + 7) // 8
     msg = bytes([fill]) * (((nbytes + 7) // 8) * 8)
-    ct = mode_encrypt(cfg, rk, msg)
-    bits = np.unpackbits(np.frombuffer(ct, dtype=np.uint8))
-    return bits[:nbits]
+    return BitSequence(mode_encrypt(cfg, rk, msg)[:nbytes], nbits)

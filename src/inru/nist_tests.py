@@ -1,9 +1,11 @@
 """Ten statistical randomness tests with the standard suite's statistics.
 
-Each test maps a numpy array of 0/1 bits to one or two p-values.  Test ids
-follow the usual abbreviations: Freq, BF, Run, LRO, CSF, CSB, Srl, AE,
-DFT, Rank.  Default parameters are chosen from the sequence length by the
-suite's recommendations and are recorded in every result.
+Each test maps a bit sequence to one or two p-values: a
+:class:`BitSequence` of packed bytes, or a 0/1 array, which is checked
+and packed once on entry.  Test ids follow the usual abbreviations: Freq,
+BF, Run, LRO, CSF, CSB, Srl, AE, DFT, Rank.  Default parameters are
+chosen from the sequence length by the suite's recommendations and are
+recorded in every result.
 
 Conventions pinned here because more than one variant circulates:
 
@@ -16,55 +18,73 @@ Conventions pinned here because more than one variant circulates:
   per test) gets a result with ``applicable=False``, no p-value and a note
   naming the minimum, never an error.  Invalid parameters still raise.
 
-Every test runs as a few numpy passes; none loops in Python over bits,
-windows or matrices.  Beyond its input, no kernel but DFT holds more
-than about 1.7 bytes per bit of the sequence (Serial at 2^20 bits: its
-words, windows and counts), so the battery can run DFT beside the other
-nine:
+Every kernel reads the packed bytes, msb first, in a few numpy passes,
+after M. Sýs and Z. Říha, "Faster randomness testing with the NIST
+Statistical Test Suite" (SPACE 2014); none loops in Python over bits,
+windows or matrices, and none unpacks the sequence.  Per-byte tables,
+built once from the 256 byte values on first use, stand in for the
+bits.  In brackets, the memory each traces beyond its input at 2^20 bits
+(128 KiB packed); a table lookup over all bytes briefly holds the bytes
+as 8-byte indices (1 MiB):
 
+* Freq, BF and Runs count ones with ``np.bitwise_count``: Freq over all
+  bytes (0.2 MiB); BF over the bytes between block edges, plus the
+  partial bytes at each edge (1.3 MiB: its block sums cast the byte
+  counts to int64); Runs counts the changes between neighbouring bits as
+  the popcount of x ^ (x >> 1), each byte's first bit compared with the
+  last bit of the byte before (0.4 MiB).
+* LRO's blocks (8, 128 or 10^4 bits) are whole bytes.  A block's longest
+  run, up to its last category (16 at most), is the longest run inside a
+  byte or the leading ones of a byte plus the run of ones carried in from
+  the bytes before it, which tables of each byte's leading, trailing and
+  longest ones give (1.4 MiB).
+* The cumulative sums tests scan the random walk S_0 = 0, S_1, ..., S_n a
+  chunk of bytes at a time from tables of each byte's net step and its
+  highest and lowest partial sum, carrying S and the extremes (0.2 MiB:
+  int32 arrays of ``_CHUNK_BITS / 8`` entries).  Forward,
+  z = max(max S, -min S); backward, the partial sums from the end are
+  S_n - S_k for k < n, so z needs no reversed copy.
+* Serial and approximate entropy count m-bit windows of the circularly
+  extended sequence (:func:`_pattern_counts`): one big-endian 32-bit
+  word per byte offset, shifted and masked to the windows at its eight
+  bit offsets and counted a chunk of bytes at a time (1.5 MiB and
+  0.5 MiB, with the 2^m counts).  Only the
+  last partial byte and m - 1 wrap bits are packed apart from the
+  sequence's whole bytes.  Each test counts once, at its longest length,
+  and folds the counts down.  Every position's (m-1)-bit window is the
+  prefix of its m-bit window, so c_(m-1)[v] = c_m[2v] + c_m[2v+1] holds
+  exactly (:func:`_fold`).
+* Rank reads each 32-bit matrix row as one big-endian word and eliminates
+  over GF(2) on all matrices at once, one step per column, the largest
+  row of each matrix its pivot (:func:`_gf2_ranks`; 0.5 MiB);
+  :func:`gf2_rank` is the one-matrix reference.
 * DFT counts the moduli below its threshold with a blocked four-step FFT
   (D. H. Bailey, "FFTs in external or hierarchical memory",
   J. Supercomputing 4, 1990; :func:`_four_step_count`): the bits as an
   (n1, n2) grid with n1, n2 near sqrt(n), real FFTs down blocks of
-  columns into an (n1/2 + 1, n2) complex array, twiddles, then FFTs
-  along blocks of rows, each block counted and dropped.  At 2^20 bits
-  it traces 9.5 MiB and grows the RSS by 10 MiB (~10 bytes a bit)
-  against 20 MiB and 32 MiB for one full-length ``rfft`` of the float64
-  sequence, and takes 18.5 ms against 34.5 ms (medians of 30 interleaved
-  calls on a 2-core Xeon VM, numpy 2.4).  A length with no split into
-  two factors of at least 32 (a prime, a short sequence), and a count
-  with any modulus within a relative 1e-9 of the threshold, uses that
-  full-length ``rfft`` (:func:`_direct_count`), so N1 is the same
-  either way.
+  columns, each built as +-1 float64 values straight from the bytes, into
+  an (n1/2 + 1, n2) complex array, twiddles, then FFTs along blocks of
+  rows, each block counted and dropped.  At 2^20 bits it traces 9.5 MiB
+  and grows the RSS by 10 MiB (~10 bytes a bit), against 20 MiB and
+  32 MiB for one full-length ``rfft`` of the float64 sequence.  A length
+  with no split into two factors of at least 32 (a prime, a short
+  sequence), and a count with any modulus within a relative 1e-9 of the
+  threshold, uses that full-length ``rfft`` (:func:`_direct_count`), so
+  N1 is the same either way.
 
-* Serial and approximate entropy count m-bit windows of the circularly
-  extended sequence from its packed bytes (:func:`_pattern_counts`): one
-  big-endian 32-bit word per byte offset, then one shift, mask and
-  count per bit offset inside the byte.  The extension is never copied;
-  only its last partial byte and m - 1 wrap bits are packed apart from
-  the sequence's whole bytes.  Each test counts once, at
-  its longest length, and folds the counts down.  Every position's
-  (m-1)-bit window is the prefix of its m-bit window, so
-  c_(m-1)[v] = c_m[2v] + c_m[2v+1] holds exactly (:func:`_fold`).
-* The longest-run test needs each block's longest run only up to its last
-  category (16 at most), so it and-shifts one copy of the blocks once per
-  run length instead of locating every run.
-* Rank eliminates over GF(2) on all matrices at once, one step per
-  column on a (matrices, rows) array of 64-bit row words
-  (:func:`_gf2_ranks`); :func:`gf2_rank` is the one-matrix reference.
-* The cumulative sums tests scan the random walk S_0 = 0, S_1, ..., S_n
-  in chunks of ``int32`` steps summed in place, carrying S and its
-  extremes.  Forward, z = max(max S, -min S); backward, the partial sums
-  from the end are S_n - S_k for k < n, so z needs no reversed copy.
-
-These kernels give the same counts, and so bit-identical p-values, as the
-direct loops they replaced; the tests hold each to such a loop.
+The battery runs DFT beside the other nine, one at a time, so at 2^20
+bits the nine add at most 1.4 MiB to DFT's 9.5 MiB.  These kernels give
+the same counts, and so bit-identical p-values, as the unpacked kernels
+they replaced (kept in ``tests/nist_reference.py``); the tests hold each
+to them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,11 +108,51 @@ class TestResult:
         return self.applicable and all(p >= ALPHA for p in self.p_values)
 
 
-def _as_bits(seq) -> np.ndarray:
-    bits = np.asarray(seq, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size == 0:
-        raise ValueError("bit sequence must be a nonempty 1-d array")
-    return bits
+@dataclass(frozen=True)
+class BitSequence:
+    """A packed bit string: bit i is bit 7 - i % 8 of byte i // 8 (msb first).
+
+    The bits of the last byte past ``nbits`` are cleared on construction,
+    so a kernel may read whole bytes.
+    """
+
+    data: bytes
+    nbits: int
+
+    def __post_init__(self):
+        if self.nbits <= 0:
+            raise ValueError("BitSequence needs a positive bit count")
+        if len(self.data) != (self.nbits + 7) // 8:
+            raise ValueError("packed data length does not match nbits")
+        spare = -self.nbits % 8
+        if self.data[-1] & ((1 << spare) - 1):
+            object.__setattr__(self, "data", self.data[:-1] + bytes([self.data[-1] >> spare << spare]))
+
+    @classmethod
+    def from_bits(cls, bits) -> BitSequence:
+        """Pack a nonempty 1-d array of 0/1 values; any other value raises ValueError."""
+        bits = np.asarray(bits)
+        if bits.ndim != 1 or bits.size == 0:
+            raise ValueError("bit sequence must be a nonempty 1-d array")
+        # min and max read an integer array without a temporary array
+        if bits.dtype.kind not in "bui" or (bits.dtype.kind != "b" and (bits.min() < 0 or bits.max() > 1)):
+            bad = (bits != 0) & (bits != 1)
+            if bad.any():
+                i = int(bad.argmax())
+                raise ValueError(f"bits must be 0 or 1, got {bits[i].item()!r} at index {i}")
+        return cls(np.packbits(bits.astype(np.uint8, copy=False)).tobytes(), bits.size)
+
+    def bits(self) -> np.ndarray:
+        return np.unpackbits(np.frombuffer(self.data, np.uint8), count=self.nbits)
+
+
+def as_bit_sequence(seq) -> BitSequence:
+    """``seq`` itself if it is a :class:`BitSequence`, else the 0/1 array ``seq`` packed."""
+    return seq if isinstance(seq, BitSequence) else BitSequence.from_bits(seq)
+
+
+def _bytes(seq: BitSequence) -> np.ndarray:
+    return np.frombuffer(seq.data, dtype=np.uint8)
 
 
 def _require(cond: bool, msg: str):
@@ -108,14 +168,57 @@ def _too_short(test: str, n: int, need: int, **params) -> TestResult:
     )
 
 
+# -- per-byte tables -------------------------------------------------------------
+
+
+class _ByteTables(NamedTuple):
+    """Per-byte tables, indexed by the byte's value; its bits are read msb first."""
+
+    signs: np.ndarray  # (256, 8) float64: each bit as -1.0 or +1.0, the DFT's input
+    walk: np.ndarray  # (256, 8) int8: the partial sums of the steps 2 * bit - 1
+    net: np.ndarray  # the walk's net step
+    high: np.ndarray  # its highest partial sum, less the net step
+    low: np.ndarray  # its lowest partial sum, less the net step
+    lead: np.ndarray  # the leading ones
+    trail: np.ndarray  # the trailing ones
+    inner: np.ndarray  # the longest run of ones
+
+
+@lru_cache(maxsize=1)
+def _byte_tables() -> _ByteTables:
+    """The per-byte tables, built on first use: a program that runs no test
+    touches none of the numpy code that builds them (~0.8 MiB of RSS).
+    The kernels read them with np.take, about twice as fast as table[indices].
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    walk = np.cumsum(2 * bits.astype(np.int8) - 1, axis=1, dtype=np.int8)
+    net = walk[:, -1].copy()
+    # The run of ones ending at bit j is j less the position of the last zero up to j.
+    run_ending = np.arange(8) - np.maximum.accumulate(np.where(bits == 0, np.arange(8), -1), axis=1)
+    return _ByteTables(
+        signs=2.0 * bits - 1.0,
+        walk=walk,
+        net=net,
+        high=walk.max(axis=1) - net,
+        low=walk.min(axis=1) - net,
+        lead=bits.cumprod(axis=1).sum(axis=1, dtype=np.uint8),
+        trail=run_ending[:, -1].astype(np.uint8),
+        inner=run_ending.max(axis=1).astype(np.uint8),
+    )
+
+
+def _ones(seq: BitSequence) -> int:
+    return int(np.bitwise_count(_bytes(seq)).sum())
+
+
 # -- individual tests ----------------------------------------------------------
 
 
 def frequency(seq) -> TestResult:
     """Monobit test: excess of ones over zeros."""
-    bits = _as_bits(seq)
-    n = bits.size
-    s = 2 * int(bits.sum()) - n
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
+    s = 2 * _ones(seq) - n
     p = erfc(abs(s) / math.sqrt(2.0 * n))
     return TestResult("Freq", (p,), {"n": n})
 
@@ -125,25 +228,35 @@ def default_block_size(n: int) -> int:
 
 
 def block_frequency(seq, block_size: int | None = None) -> TestResult:
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     m = default_block_size(n) if block_size is None else block_size
     _require(m >= 2, f"block size {m} too small")
     nblocks = n // m
     if nblocks < 1:
         return _too_short("BF", n, m, M=m)
-    pi = bits[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+    # Block k's ones: those of the bytes from byte[k] up to byte[k + 1]
+    # (none if they are equal), plus those of the first part[k + 1] bits
+    # of byte[k + 1], less those of the first part[k] bits of byte[k].
+    u = np.append(_bytes(seq), np.uint8(0))  # the last edge may fall one byte past the end
+    edges = np.arange(0, nblocks * m + 1, m)
+    byte, part = edges >> 3, edges & 7
+    spans = np.add.reduceat(np.bitwise_count(u), byte, dtype=np.int64)[:-1]
+    spans[byte[1:] == byte[:-1]] = 0
+    heads = np.bitwise_count(u[byte] >> (8 - part)).astype(np.int64)
+    ones = spans + np.diff(heads)
+    pi = ones / m
     chi2 = 4.0 * m * float(((pi - 0.5) ** 2).sum())
     p = igamc(nblocks / 2.0, chi2 / 2.0)
     return TestResult("BF", (p,), {"n": n, "M": m, "N": nblocks})
 
 
 def runs(seq) -> TestResult:
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     if n < 2:
         return _too_short("Run", n, 2)
-    pi = float(bits.mean())
+    pi = _ones(seq) / n
     # Below 16 bits 2/sqrt(n) > 1/2, so a constant sequence passes the
     # frequency bound; pi(1 - pi) = 0 fails the prerequisite all the same.
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n) or pi * (1 - pi) == 0:
@@ -151,7 +264,16 @@ def runs(seq) -> TestResult:
             "Run", (), {"n": n}, applicable=False,
             note="frequency prerequisite failed, runs test not applicable",
         )
-    v = 1 + int((bits[1:] != bits[:-1]).sum())
+    # Each bit under its predecessor: the byte shifted right by one, its
+    # top bit carried from the byte before; the first bit is its own.
+    u = _bytes(seq)
+    prev = u >> 1
+    prev[1:] |= u[:-1] << 7
+    prev[0] |= u[0] & 0x80
+    changes = int(np.bitwise_count(u ^ prev).sum())
+    if n % 8:  # bit n - 1 against the first zero bit past the end
+        changes -= int(u[-1] >> (8 - n % 8)) & 1
+    v = 1 + changes
     num = abs(v - 2.0 * n * pi * (1 - pi))
     p = erfc(num / (2.0 * math.sqrt(2.0 * n) * pi * (1 - pi)))
     return TestResult("Run", (p,), {"n": n})
@@ -168,25 +290,26 @@ _LRO_REGIMES = (
 
 
 def longest_run_of_ones(seq) -> TestResult:
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     if n < 128:
         return _too_short("LRO", n, 128)
     for min_n, m, k, edges, probs in reversed(_LRO_REGIMES):
         if n >= min_n:
             break
     nblocks = n // m
-    blocks = bits[: nblocks * m].reshape(nblocks, m)
+    blocks = _bytes(seq)[: nblocks * m // 8].reshape(nblocks, m // 8)
 
-    # Each block's longest run, clipped above at the last category: after
-    # pass j, ones[:, i] says whether a run of at least j + 1 ones starts
-    # at bit i of the block, so the passes count the run lengths present.
-    ones = blocks.copy()
-    longest = ones.any(axis=1).astype(np.int64)
-    for j in range(1, edges[-1]):
-        ones[:, : m - j] &= blocks[:, j:]
-        ones[:, m - j] = 0
-        longest += ones.any(axis=1)
+    # Each block's longest run, exact up to 16 >= the last category: the
+    # run of ones carried into byte j is byte j - 1's trailing ones, plus
+    # byte j - 2's when byte j - 1 is all ones (16 if both are).
+    tables = _byte_tables()
+    trail = np.take(tables.trail, blocks)
+    carried = np.zeros_like(trail)
+    carried[:, 1:] = trail[:, :-1]
+    carried[:, 2:] += (blocks[:, 1:-1] == 0xFF) * trail[:, :-2]
+    carried += np.take(tables.lead, blocks)
+    longest = np.maximum(carried, np.take(tables.inner, blocks)).max(axis=1)
 
     counts = np.zeros(len(edges), dtype=np.int64)
     clipped = np.clip(longest, edges[0], edges[-1])
@@ -199,24 +322,32 @@ def longest_run_of_ones(seq) -> TestResult:
 
 
 # Bits per step of the cumulative sums' scan: its int32 partial sums stay in cache.
-_CHUNK_BITS = 1 << 16
+_CHUNK_BITS = 1 << 17
 
 
 def cumulative_sums(seq, direction: str = "forward") -> TestResult:
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     _require(direction in ("forward", "backward"), f"bad direction {direction!r}")
     # S_k is the sum of the first k steps 2 * bit - 1, with S_0 = 0; scan
-    # them a chunk at a time, carrying S at the chunk start and the extremes
+    # the whole bytes a chunk at a time, carrying S at the chunk start and
+    # the extremes, then the first n % 8 steps of the last byte.
+    u = _bytes(seq)
+    tables = _byte_tables()
+    whole = n // 8
     lo = hi = s_n = 0
-    for start in range(0, n, _CHUNK_BITS):
-        s = bits[start : start + _CHUNK_BITS].astype(np.int32)
-        s <<= 1
-        s -= 1
-        np.cumsum(s, out=s)
-        lo = min(lo, s_n + int(s.min()))
-        hi = max(hi, s_n + int(s.max()))
+    for start in range(0, whole, _CHUNK_BITS // 8):
+        x = u[start : min(start + _CHUNK_BITS // 8, whole)]
+        # S at each byte's end, less S at the chunk start
+        s = np.cumsum(np.take(tables.net, x), dtype=np.int32)
+        hi = max(hi, s_n + int((s + np.take(tables.high, x)).max()))
+        lo = min(lo, s_n + int((s + np.take(tables.low, x)).min()))
         s_n += int(s[-1])
+    if n % 8:
+        walk = tables.walk[u[whole], : n % 8]
+        hi = max(hi, s_n + int(walk.max()))
+        lo = min(lo, s_n + int(walk.min()))
+        s_n += int(walk[-1])
     if direction == "forward":
         z = max(hi, -lo)
     else:  # the backward sums are S_n - S_k for k = n-1, ..., 0; k = n adds 0
@@ -239,35 +370,47 @@ def cumulative_sums(seq, direction: str = "forward") -> TestResult:
 
 # Longest pattern _pattern_counts can read from one 32-bit word at any bit offset.
 _MAX_WINDOW = 25
+# Byte offsets per count in _pattern_counts: their 8 windows each, cast to
+# 8-byte indices by np.bincount, take 256 KiB.
+_COUNT_BYTES = 1 << 12
 
 
-def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
+def _pattern_counts(seq: BitSequence, m: int) -> np.ndarray:
     """Counts of all overlapping m-bit patterns of the circularly extended sequence.
 
     Entry v counts the positions whose m-bit window, read msb first, is v.
-    The windows come from the packed bytes: word i is the big-endian 32-bit
-    word at byte offset i, and the window at bit 8i + r is that word shifted
-    right by 32 - r - m and masked.  Each bit offset r = 0..7 is counted on
-    its own, so only n/8 windows exist at a time.  The extension is never
-    copied: the whole bytes of ``bits`` are packed straight from it, and
-    only the last partial byte and the m - 1 wrap bits apart (a sequence
-    shorter than m - 1 wraps more than once).
+    Word i is the big-endian 32-bit word at byte offset i of the extension,
+    and the window at bit 8i + r is that word shifted right by 32 - r - m
+    and masked.  A chunk of byte offsets at a time, the windows at all
+    eight bit offsets are counted by one ``np.bincount``, which, unlike
+    ``np.add.at``, releases the interpreter lock while it counts, so the
+    battery's DFT thread runs on.  The last byte starts only n % 8
+    windows.  The extension is never unpacked: the sequence's whole bytes
+    are copied as they are, and only the last partial byte and the m - 1
+    wrap bits are packed apart (a sequence shorter than m - 1 wraps more
+    than once).
     """
     _require(1 <= m <= _MAX_WINDOW, f"pattern length {m} out of range")
-    n = bits.size
+    n = seq.nbits
+    u = _bytes(seq)
     whole = n // 8
     nbytes = (n + m + 6) // 8
     packed = np.zeros(nbytes + 3, dtype=np.uint8)
-    packed[:whole] = np.packbits(bits[: 8 * whole])
-    packed[whole:nbytes] = np.packbits(np.concatenate([bits[8 * whole :], np.resize(bits, m - 1)]))
-    words = np.ndarray((nbytes,), ">u4", packed, strides=(1,)).astype(np.uint32)
+    packed[:whole] = u[:whole]
+    head = np.unpackbits(u[: (m + 6) // 8], count=min(n, m - 1))
+    rest = np.concatenate([np.unpackbits(u[whole:], count=n % 8), np.resize(head, m - 1)])
+    packed[whole:nbytes] = np.packbits(rest)
+    words = np.ndarray((nbytes,), ">u4", packed, strides=(1,))
+    shifts = (32 - m - np.arange(8, dtype=np.uint32))[:, None]
     counts = np.zeros(1 << m, dtype=np.int64)
-    windows = np.empty((n + 7) // 8, dtype=np.uint32)
-    for r in range(8):
-        out = windows[: (n - r + 7) // 8]
-        np.right_shift(words[: out.size], 32 - r - m, out=out)
-        out &= np.uint32((1 << m) - 1)
-        np.add.at(counts, out, 1)
+    starts = (n + 7) // 8
+    for i in range(0, starts, _COUNT_BYTES):
+        windows = words[i : min(i + _COUNT_BYTES, starts)].astype(np.uint32) >> shifts
+        windows &= np.uint32((1 << m) - 1)
+        if i + windows.shape[1] > whole:  # no window starts past bit n - 1
+            windows[n % 8 :, whole - i] = 0
+            counts[0] -= 8 - n % 8
+        counts += np.bincount(windows.reshape(-1), minlength=1 << m)
     return counts
 
 
@@ -291,13 +434,13 @@ def default_serial_length(n: int) -> int:
 
 def serial(seq, pattern_length: int | None = None) -> TestResult:
     """Serial test; yields two p-values (first and second generalized difference)."""
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     m = default_serial_length(n) if pattern_length is None else pattern_length
     _require(3 <= m <= 24, f"pattern length {m} out of range")
     if n < 1 << (m + 2):
         return _too_short("Srl", n, 1 << (m + 2), m=m)
-    counts = _pattern_counts(bits, m)
+    counts = _pattern_counts(seq, m)
     psi_m = _psi_sq(counts, n)
     counts = _fold(counts)
     psi_m1 = _psi_sq(counts, n)
@@ -314,8 +457,8 @@ def default_apen_length(n: int) -> int:
 
 
 def approximate_entropy(seq, pattern_length: int | None = None) -> TestResult:
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     m = default_apen_length(n) if pattern_length is None else pattern_length
     _require(1 <= m <= 20, f"pattern length {m} out of range")
     if n < 1 << (m + 2):
@@ -326,7 +469,7 @@ def approximate_entropy(seq, pattern_length: int | None = None) -> TestResult:
         nz = c[c > 0]
         return float((nz * np.log(nz)).sum())
 
-    counts = _pattern_counts(bits, m + 1)
+    counts = _pattern_counts(seq, m + 1)
     apen = phi(_fold(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = igamc(2 ** (m - 1), chi2 / 2.0)
@@ -350,20 +493,22 @@ def _dft_split(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _direct_count(bits: np.ndarray, threshold: float) -> int:
+def _direct_count(seq: BitSequence, threshold: float) -> int:
     """How many of the first n/2 moduli of the +-1 sequence's DFT are below ``threshold``."""
-    x = np.multiply(bits, 2.0, dtype=np.float64)  # one float64 array; exact +-1 for 0/1 bits
-    x -= 1.0
-    return int((np.abs(np.fft.rfft(x))[: bits.size // 2] < threshold).sum())
+    # one float64 array of exact +-1
+    x = np.take(_byte_tables().signs, _bytes(seq), axis=0).reshape(-1)[: seq.nbits]
+    return int((np.abs(np.fft.rfft(x))[: seq.nbits // 2] < threshold).sum())
 
 
-def _four_step_count(bits: np.ndarray, threshold: float, n1: int, n2: int) -> int | None:
+def _four_step_count(seq: BitSequence, threshold: float, n1: int, n2: int) -> int | None:
     """:func:`_direct_count` through a four-step FFT of length n = n1 * n2; None if too close.
 
     With x[r, c] = x_(r n2 + c), coefficient k1 + n1 k2 is the length-n2
     DFT over c of W_n^(k1 c) Y[k1, c], where Y[:, c] is the length-n1 DFT
     of column c (Bailey 1990).  Stage 1 runs real FFTs down blocks of
-    columns, built from the bits, into the (n1/2 + 1, n2) array Y; stage 2
+    columns into the (n1/2 + 1, n2) array Y, each block of whole bytes
+    of every row looked up as +-1 values (rows that do not start at a
+    whole byte are realigned first, one 16-bit shift a byte).  Stage 2
     twiddles blocks of rows of Y and runs their FFTs.  A row k1 > n1/2 is
     not stored: x is real, so X_(k1 + n1 k2) is the conjugate of
     X_((n1 - k1) + n1 (n2 - 1 - k2)).  Each stored row k1 thus holds
@@ -376,12 +521,20 @@ def _four_step_count(bits: np.ndarray, threshold: float, n1: int, n2: int) -> in
     n = n1 * n2
     half = n // 2
     rows = n1 // 2 + 1
-    grid = bits.reshape(n1, n2)
+    u = _bytes(seq)
+    if n2 % 8 == 0:  # every row starts at a whole byte
+        grid = u.reshape(n1, n2 // 8)
+    else:  # each row's bytes realigned by one 16-bit shift
+        wide = np.append(u, np.uint8(0)).astype(np.uint16)
+        first = np.arange(n1) * n2
+        at = (first >> 3)[:, None] + np.arange((n2 + 7) // 8)
+        grid = ((wide[at] << 8 | wide[at + 1]) >> (8 - (first & 7))[:, None]).astype(np.uint8)
+        del wide, at
+    signs = _byte_tables().signs
     y = np.empty((rows, n2), dtype=np.complex128)
-    step = max(1, _DFT_BLOCK_BYTES // (8 * n1))
+    step = max(8, _DFT_BLOCK_BYTES // (64 * n1) * 8)  # whole bytes of columns
     for c0 in range(0, n2, step):
-        x = np.multiply(grid[:, c0 : c0 + step], 2.0, dtype=np.float64)
-        x -= 1.0
+        x = np.take(signs, grid[:, c0 // 8 : (c0 + step) // 8], axis=0).reshape(n1, -1)[:, : n2 - c0]
         y[:, c0 : c0 + step] = np.fft.rfft(x, axis=0)
     del x
 
@@ -420,15 +573,15 @@ def dft_spectral(seq) -> TestResult:
     The four-step count when n splits and no modulus is too close to
     call, else the direct one; both give the same N1.
     """
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     if n < 1000:
         return _too_short("DFT", n, 1000)
     threshold = math.sqrt(n * math.log(1 / 0.05))
     split = _dft_split(n)
-    n1 = None if split is None else _four_step_count(bits, threshold, *split)
+    n1 = None if split is None else _four_step_count(seq, threshold, *split)
     if n1 is None:
-        n1 = _direct_count(bits, threshold)
+        n1 = _direct_count(seq, threshold)
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p = erfc(abs(d) / math.sqrt(2.0))
@@ -462,38 +615,41 @@ def _rank_probability(m: int, q: int, r: int) -> float:
     return (2.0**log2p) * prod
 
 
-def _gf2_ranks(mats: np.ndarray) -> np.ndarray:
-    """GF(2) ranks of a stack of 0/1 matrices with at most 64 columns, all at once.
+def _gf2_ranks(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """GF(2) ranks of a stack of binary matrices with at most 64 columns, all at once.
 
-    Each row is packed msb first into one 64-bit word.  Column by column,
-    every matrix picks as pivot its first row holding that column's bit and
-    xors the pivot into every row holding the bit, the pivot included: the
-    column is cleared and the pivot row, now zero, drops out.  The rank is
-    the number of columns that found a pivot (SP 800-22 Appendix F.1 by
-    elimination over the whole stack).
+    ``rows`` is a (matrices, rows) array of unsigned words, the first
+    column in bit ``ncols - 1`` of each.  Column by column from the first,
+    every row's bits of the columns before are clear, so a row holds
+    column b's bit exactly when it is at least 2^b, and a matrix's largest
+    row is a pivot if any row holds the bit.  Xoring the pivot into a row
+    clears the bit exactly when that makes the row smaller, so
+    min(row, row ^ pivot) eliminates the column from every row at once;
+    the pivot row becomes zero and drops out.  The rank is the number of
+    columns that found a pivot (SP 800-22 Appendix F.1 by elimination over
+    the whole stack).  The rows are held transposed, (rows, matrices), so
+    each step is a few passes over whole rows of the stack.
     """
-    nmat, nrows, ncols = mats.shape
-    words = np.zeros((nmat, nrows, 8), dtype=np.uint8)
-    words[:, :, : (ncols + 7) // 8] = np.packbits(mats, axis=2)
-    w = words.view(">u8")[:, :, 0].astype(np.uint64)
-    pick = np.arange(nmat)
-    ranks = np.zeros(nmat, dtype=np.int64)
-    for b in range(63, 63 - ncols, -1):
-        holds = (w & np.uint64(1 << b)) != 0
-        pivot = w[pick, holds.argmax(axis=1)]
-        w ^= holds * pivot[:, None]
-        ranks += holds.any(axis=1)
-    return ranks
+    w = np.ascontiguousarray(rows.T, dtype=rows.dtype.newbyteorder("="))
+    xored = np.empty_like(w)
+    pivots = np.empty((ncols, w.shape[1]), dtype=w.dtype)
+    for pivot, b in zip(pivots, range(ncols - 1, -1, -1)):
+        w.max(axis=0, out=pivot)
+        pivot[pivot < w.dtype.type(1 << b)] = 0
+        np.bitwise_xor(w, pivot, out=xored)
+        np.minimum(w, xored, out=w)
+    return np.count_nonzero(pivots, axis=0)
 
 
 def matrix_rank(seq) -> TestResult:
     """SP 800-22's rank test on 32x32 matrices."""
-    bits = _as_bits(seq)
-    n = bits.size
+    seq = as_bit_sequence(seq)
+    n = seq.nbits
     nmat = n // (32 * 32)
     if nmat < 38:
         return _too_short("Rank", n, 38 * 32 * 32)
-    ranks = _gf2_ranks(bits[: nmat * 32 * 32].reshape(nmat, 32, 32))
+    rows = np.frombuffer(seq.data, dtype=">u4", count=nmat * 32).reshape(nmat, 32)
+    ranks = _gf2_ranks(rows, 32)
     full = int((ranks == 32).sum())
     fm1 = int((ranks == 31).sum())
     lower = nmat - full - fm1

@@ -88,6 +88,13 @@ def erfc(x: float) -> float:
     return igamc(0.5, x * x)
 
 
+# From |x| = 40 on, the scale factor of erfc(|x| / sqrt(2)) underflows to
+# exactly 0, so Phi(x) is exactly 1 or 0.
+_PHI_SATURATED = 40.0
+
+
 def normal_cdf(x: float) -> float:
-    """Standard normal distribution function Phi(x)."""
+    """Standard normal distribution function Phi(x); exactly 0 or 1 past +-40."""
+    if abs(x) >= _PHI_SATURATED:
+        return 1.0 if x > 0 else 0.0
     return 0.5 * erfc(-x / math.sqrt(2.0))

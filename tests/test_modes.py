@@ -21,6 +21,7 @@ from inru.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
+from inru.nist_tests import BitSequence
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 RK = expand_key(MasterKey.from_hex(KEY))
@@ -126,7 +127,7 @@ def test_ctr_zero_message_equals_keystream():
     cfg = ModeConfig("ctr", nonce=0x01020304)
     ct = mode_encrypt(cfg, RK, b"\x00" * 64)
     ks = cipher_stream(cfg, RK, 0x00, 64 * 8)
-    assert np.array_equal(np.unpackbits(np.frombuffer(ct, np.uint8)), ks)
+    assert np.array_equal(np.unpackbits(np.frombuffer(ct, np.uint8)), ks.bits())
 
 
 def test_ctr_first_block_is_encrypted_counter_zero():
@@ -175,8 +176,8 @@ def test_keystream_deterministic_and_distinct_across_keys():
         key = MasterKey(tuple(int(v) for v in rng.integers(0, 16, 32)))
         rk = expand_key(key)
         cfg = ModeConfig("ofb", mode_iv=1)
-        first = cipher_stream(cfg, rk, 0x00, 128)
-        again = cipher_stream(cfg, rk, 0x00, 128)
+        first = cipher_stream(cfg, rk, 0x00, 128).bits()
+        again = cipher_stream(cfg, rk, 0x00, 128).bits()
         assert np.array_equal(first, again)
         streams.add(np.packbits(first).tobytes())
     assert len(streams) == 64
@@ -191,7 +192,7 @@ def test_cipher_stream_matches_mode_encrypt(mode, padding):
     # Under PKCS#7 the padding block follows the message, past the bits kept.
     cfg = ModeConfig(mode, mode_iv=3, nonce=9, padding=padding)
     nbits = 1024
-    got = cipher_stream(cfg, RK, 0xFF, nbits)
+    got = cipher_stream(cfg, RK, 0xFF, nbits).bits()
     ct = mode_encrypt(cfg, RK, b"\xff" * (nbits // 8))
     assert np.array_equal(got, np.unpackbits(np.frombuffer(ct, np.uint8))[:nbits])
 
@@ -200,7 +201,7 @@ def test_chained_mode_streams_are_tied():
     iv, ones, nbits = 0x0123456789ABCDEF, (1 << 64) - 1, 1024
 
     def stream(mode, fill, mode_iv=iv):
-        return cipher_stream(ModeConfig(mode, mode_iv=mode_iv), RK, fill, nbits)
+        return cipher_stream(ModeConfig(mode, mode_iv=mode_iv), RK, fill, nbits).bits()
 
     zeros = stream("cbc", 0x00)
     assert np.array_equal(stream("cfb", 0x00), zeros)
@@ -208,12 +209,34 @@ def test_chained_mode_streams_are_tied():
     assert np.array_equal(stream("ofb", 0xFF), 1 - zeros)
     assert np.array_equal(stream("cfb", 0xFF), 1 - stream("cbc", 0xFF, iv ^ ones))
     ctr = ModeConfig("ctr", nonce=0x0A0B0C0D)
-    assert np.array_equal(cipher_stream(ctr, RK, 0xFF, nbits), 1 - cipher_stream(ctr, RK, 0x00, nbits))
+    assert np.array_equal(cipher_stream(ctr, RK, 0xFF, nbits).bits(), 1 - cipher_stream(ctr, RK, 0x00, nbits).bits())
 
 
 def test_keystream_truncates_to_nbits():
     cfg = ModeConfig("ctr", nonce=1)
-    assert cipher_stream(cfg, RK, 0x00, 10).size == 10
+    assert cipher_stream(cfg, RK, 0x00, 10).bits().size == 10
+
+
+@pytest.mark.parametrize("mode", ["cbc", "cfb", "ofb", "ctr"])
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+@pytest.mark.parametrize("nbits", [10, 1001, 1 << 16])
+def test_cipher_stream_is_the_packed_bit_stream(mode, fill, nbits):
+    # The bytes equal np.packbits of the first nbits bits of the
+    # ciphertext: the same leading bytes, the bits past nbits cleared.
+    cfg = ModeConfig(mode, mode_iv=0x0123456789ABCDEF, nonce=0x0A0B0C0D)
+    nbytes = (nbits + 7) // 8
+    ct = mode_encrypt(cfg, RK, bytes([fill]) * ((nbytes + 7) // 8 * 8))
+    want = np.packbits(np.unpackbits(np.frombuffer(ct, np.uint8))[:nbits]).tobytes()
+    seq = cipher_stream(cfg, RK, fill, nbits)
+    assert isinstance(seq, BitSequence)
+    assert seq.nbits == nbits
+    assert seq.data == want
+
+
+def test_cipher_stream_at_the_battery_length_holds_128_kib():
+    seq = cipher_stream(ModeConfig("ctr", nonce=3), RK, 0x00, 1 << 20)
+    assert seq.nbits == 1 << 20
+    assert len(seq.data) == 128 * 1024
 
 
 def test_keystream_rejects_nonpositive():

@@ -12,6 +12,7 @@ from inru.nist_tests import (
     _LRO_REGIMES,
     _MAX_WINDOW,
     ALL_TESTS,
+    BitSequence,
     TestResult,
     _fold,
     _dft_split,
@@ -29,6 +30,8 @@ from inru.nist_tests import (
     serial,
 )
 from inru.special_functions import erfc
+
+import nist_reference
 
 # 100-bit reference sequence of SP 800-22's examples; expected p-values were
 # computed with an independent implementation of the same statistics on top
@@ -446,6 +449,11 @@ def _shift_or_counts(bits, m):
     return vals
 
 
+def _counts(bits, m):
+    """The kernel's pattern counts of a 0/1 array, packed first."""
+    return _pattern_counts(BitSequence.from_bits(bits), m)
+
+
 def _nonzero_counts(counts):
     idx = np.flatnonzero(counts)
     return dict(zip(idx.tolist(), counts[idx].tolist()))
@@ -455,13 +463,13 @@ def _nonzero_counts(counts):
     "n", [1, 2, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 100, 1001, 4099, 65535, 65536, 65537]
 )
 def test_pattern_counts_match_shift_or_counter(n):
-    # Each of the 8 bit offsets is counted apart, over (n - r + 7) // 8
-    # windows; sparse ones leave some offsets with only small windows.
+    # The last byte starts only n % 8 of its 8 windows; sparse ones leave
+    # some bit offsets with only small windows.
     rng = np.random.default_rng(n)
     for bits in (rng.integers(0, 2, n, dtype=np.uint8), (rng.random(n) < 0.02).astype(np.uint8)):
         for m in range(1, 17):
             want = np.bincount(_shift_or_counts(bits, m), minlength=1 << m)
-            assert np.array_equal(_pattern_counts(bits, m), want), m
+            assert np.array_equal(_counts(bits, m), want), m
 
 
 def test_pattern_counts_at_the_longest_windows():
@@ -470,25 +478,25 @@ def test_pattern_counts_at_the_longest_windows():
     for n in (3, 30, 509):
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         for m in (20, 21, 24):
-            counts = _pattern_counts(bits, m)
+            counts = _counts(bits, m)
             assert counts.size == 1 << m and counts.sum() == n
             vals, freq = np.unique(_shift_or_counts(bits, m), return_counts=True)
             assert _nonzero_counts(counts) == dict(zip(vals.tolist(), freq.tolist()))
     assert _MAX_WINDOW >= 24
     with pytest.raises(ValueError):
-        _pattern_counts(bits, _MAX_WINDOW + 1)
+        _counts(bits, _MAX_WINDOW + 1)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, (1 << 16) - 1, (1 << 16) + 1, (1 << 20) + 3])
 def test_pattern_counts_equal_the_resized_extension(n):
-    # The kernel packs the whole bytes directly and the partial byte and
-    # wrap bits apart; the reference reads every window of np.resize's
-    # copy.  From m = 11 on, lengths 1 to 9 are shorter than m - 1, so
-    # their extension wraps more than once.  Compared on the nonzero
-    # entries: the reference holds no 2^m array.
+    # The kernel copies the whole bytes directly and packs the partial
+    # byte and wrap bits apart; the reference reads every window of
+    # np.resize's copy.  From m = 11 on, lengths 1 to 9 are shorter than
+    # m - 1, so their extension wraps more than once.  Compared on the
+    # nonzero entries: the reference holds no 2^m array.
     bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
     for m in range(1, _MAX_WINDOW + 1):
-        counts = _pattern_counts(bits, m)
+        counts = _counts(bits, m)
         vals, freq = np.unique(_shift_or_counts(bits, m), return_counts=True)
         seen = np.flatnonzero(counts)
         assert np.array_equal(seen, vals) and np.array_equal(counts[seen], freq), m
@@ -498,11 +506,17 @@ def test_pattern_counts_equal_the_resized_extension(n):
 def test_fold_equals_a_direct_count(n):
     bits = np.random.default_rng(n + 1).integers(0, 2, n, dtype=np.uint8)
     for m in range(2, 17):
-        assert np.array_equal(_fold(_pattern_counts(bits, m)), _pattern_counts(bits, m - 1)), m
+        assert np.array_equal(_fold(_counts(bits, m)), _counts(bits, m - 1)), m
 
 
 def _packed_rows(mat):
     return [int("".join(map(str, row)), 2) for row in mat.tolist()]
+
+
+def _row_words(mats):
+    """Each row of a stack of 0/1 matrices as one uint64, its first column in bit cols - 1."""
+    cols = mats.shape[2]
+    return (mats.astype(np.uint64) << np.arange(cols - 1, -1, -1, dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
 
 
 def _matrix_of_rank(rng, rows, cols, rank):
@@ -521,7 +535,7 @@ def test_batched_rank_matches_gf2_rank_on_random_matrices():
     for rows, cols, count in ((32, 32, 300), (8, 8, 200), (3, 5, 50), (16, 40, 50), (6, 64, 50)):
         mats = rng.integers(0, 2, (count, rows, cols), dtype=np.uint8)
         want = [gf2_rank(_packed_rows(m), cols) for m in mats]
-        assert _gf2_ranks(mats).tolist() == want
+        assert _gf2_ranks(_row_words(mats), cols).tolist() == want
 
 
 def test_batched_rank_on_constructed_ranks():
@@ -529,7 +543,7 @@ def test_batched_rank_on_constructed_ranks():
     ranks = [32, 31, 30, 29, 20, 5, 1, 0] * 3
     mats = np.stack([_matrix_of_rank(rng, 32, 32, r) for r in ranks])
     assert [gf2_rank(_packed_rows(m), 32) for m in mats] == ranks
-    assert _gf2_ranks(mats).tolist() == ranks
+    assert _gf2_ranks(_row_words(mats), 32).tolist() == ranks
 
 
 def _int64_excursion(bits, direction):
@@ -611,3 +625,75 @@ def test_pattern_kernels_copy_no_sequence(test):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# -- input checks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("test", ALL_TESTS)
+@pytest.mark.parametrize("bad, shown", [(2, "2"), (-1, "-1"), (0.5, "0.5"), (np.nan, "nan")])
+def test_values_other_than_0_and_1_are_rejected(test, bad, shown):
+    # Packing on entry would read a 2 as a 1 and a 0.5 as a 0.
+    bits = np.random.default_rng(18).integers(0, 2, 40 * 1024).astype(np.float64 if isinstance(bad, float) else np.int64)
+    bits[1234] = bad
+    with pytest.raises(ValueError, match=f"got {shown} at index 1234"):
+        ALL_TESTS[test](bits)
+
+
+def test_frequency_of_twos_and_halves_raises():
+    with pytest.raises(ValueError, match="got 2 at index 0"):
+        frequency(np.full(1000, 2, np.uint8))
+    with pytest.raises(ValueError, match="got 0.5 at index 0"):
+        frequency(np.tile([0.5, 1.0], 500))
+
+
+def test_from_bits_rejects_a_value_it_would_pack_as_one():
+    with pytest.raises(ValueError, match="got 2 at index 1"):
+        BitSequence.from_bits([0, 2, 1])
+    with pytest.raises(ValueError, match="got '1' at index 0"):
+        BitSequence.from_bits(np.array(["1", "0"]))
+
+
+def test_bits_of_any_numeric_type_give_the_same_result():
+    bits = np.random.default_rng(19).integers(0, 2, 40 * 1024, dtype=np.uint8)
+    want = [repr(fn(bits)) for fn in ALL_TESTS.values()]
+    for same in (bits.astype(bool), bits.astype(np.int64), bits.astype(np.float64), bits.tolist()):
+        assert [repr(fn(same)) for fn in ALL_TESTS.values()] == want
+
+
+# -- packed kernels against the unpacked reference -----------------------------------
+
+
+REFERENCE_LENGTHS = [1000, 1001, (1 << 16) - 1, (1 << 16) + 1, (1 << 20) - 3, 1 << 20]
+
+
+def _reference_input(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "random":
+        return rng.integers(0, 2, n, dtype=np.uint8)
+    if kind == "biased":
+        return (rng.random(n) < 0.52).astype(np.uint8)
+    if kind == "constant":
+        return np.ones(n, np.uint8)
+    return (np.arange(n) & 1).astype(np.uint8)  # alternating
+
+
+@pytest.mark.parametrize("kind", ["random", "biased", "constant", "alternating"])
+@pytest.mark.parametrize("n", REFERENCE_LENGTHS)
+@pytest.mark.parametrize("test", ALL_TESTS)
+def test_packed_kernels_equal_the_unpacked_reference(test, n, kind):
+    # repr tells an np.float64 p from a float and compares every param.
+    bits = _reference_input(n, kind)
+    assert repr(ALL_TESTS[test](BitSequence.from_bits(bits))) == repr(nist_reference.ALL_TESTS[test](bits))
+
+
+@pytest.mark.parametrize("n", [n for n in REFERENCE_LENGTHS if n % 8])
+def test_packed_kernels_ignore_the_bits_past_the_end(n):
+    # Ones past nbits in the last byte are cleared, so no kernel counts them.
+    bits = _reference_input(n, "random")
+    data = bytearray(np.packbits(bits).tobytes())
+    data[-1] |= (1 << (-n % 8)) - 1
+    seq = BitSequence(bytes(data), n)
+    assert seq.data == np.packbits(bits).tobytes()
+    for test, fn in ALL_TESTS.items():
+        assert repr(fn(seq)) == repr(nist_reference.ALL_TESTS[test](bits)), test

@@ -50,3 +50,14 @@ def test_normal_cdf():
     assert normal_cdf(0.0) == 0.5
     assert normal_cdf(1.96) == pytest.approx(0.9750021048517796, rel=1e-12)
     assert normal_cdf(-1.96) == pytest.approx(1 - 0.9750021048517796, rel=1e-9)
+
+
+def test_normal_cdf_is_exactly_0_or_1_from_40_on():
+    # The shortcut past +-40 returns what the erfc formula gives there, so
+    # the cumulative sums p-values that read Phi far out are unchanged.
+    xs = np.concatenate([[40.0, np.nextafter(40.0, 41.0)], np.geomspace(40.0, 1e7, 400)])
+    for x in map(float, xs):
+        assert normal_cdf(x) == 0.5 * erfc(-x / math.sqrt(2.0)) == 1.0
+        assert normal_cdf(-x) == 0.5 * erfc(x / math.sqrt(2.0)) == 0.0
+    # just inside the band it still reads the formula
+    assert normal_cdf(-38.0) == 0.5 * erfc(38.0 / math.sqrt(2.0)) > 0.0
