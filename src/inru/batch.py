@@ -33,14 +33,16 @@ The diffusion layers are the byte scans of :func:`_prefix_xors` and
 :func:`_suffix_xors`, which the round tables fuse, plus a 7-step row
 scan of the byte parities.
 
-This engine is the library's only implementation of decryption, of the
-diffusion layers and of the round trace: :mod:`inru.cipher` runs them as
-one-block views over it.  :mod:`inru.cipher` keeps a scalar encryption
-loop over the same round tables and a scalar key schedule for the
-sequential modes.  The test suite pins both engines to the independent
-transcription in ``tests/straightline.py``.  Per-round intermediates for
-the analyses come from :meth:`BatchCipher.trace_rounds`, a nibble view of
-the engine's only encryption round loop.
+This engine is the library's only implementation of the key schedule,
+of decryption, of the diffusion layers and of the round trace:
+:mod:`inru.cipher` runs them as one-key or one-block views over it.  The
+key schedule's chain passes run as numpy row steps across a batch of
+keys, and as a plain walk over the same chain tables for one key.
+:mod:`inru.cipher` keeps a scalar encryption loop over the same round
+tables for the sequential modes.  The test suite pins both engines to
+the independent transcription in ``tests/straightline.py``.  Per-round
+intermediates for the analyses come from :meth:`BatchCipher.trace_rounds`,
+a nibble view of the engine's only encryption round loop.
 """
 
 from __future__ import annotations
@@ -255,7 +257,19 @@ class BatchCipher:
         indexes its table with the row (the previous pass's byte) ``|`` the
         pass's previous byte, one in each half; ``w`` holds plain bytes
         before and after.
+
+        A single column (one key) runs the same steps as a plain walk over
+        the tables read through ``memoryview``: numpy's per-call cost would
+        make its ~20k row steps some 20 times slower.
         """
+        if w.shape[1] == 1:
+            left, right = memoryview(self.tables.left), memoryview(self.tables.right)
+            col = w[::-1, 0].tolist()  # each pass reverses the list's order
+            for i, leader in enumerate(leaders[:, 0].tolist()):
+                table, prev = (right, leader << 4) if i & 1 else (left, leader << 8)
+                col = [prev := table[b | prev] for b in reversed(col)]
+            w[::-1, 0] = col  # the pass count is even
+            return
         left, right = self.tables.left, self.tables.right
         idx = np.empty(w.shape[1], dtype=np.uint16)
         for i, leader in enumerate(leaders):
@@ -315,8 +329,10 @@ class BatchCipher:
     def _mixed_state_columns(self, keys, ivs) -> np.ndarray:
         """Key mixing of checked (n, 32) keys and (n, 16) diversifiers, as (64, n) columns.
 
-        The 64 passes take the seed string's nibbles s63, s62, ..., s0 as
-        leaders, always from the unmodified seed.
+        The 64-nibble seed string s is the key, the diversifier, then the
+        constant 15..0.  The 64 passes take its nibbles s63, s62, ..., s0 as
+        leaders, always from the unmodified seed, so the first leader is the
+        constant 0.
         """
         tail = np.broadcast_to(np.arange(15, -1, -1, dtype=np.uint8), (len(keys), 16))
         s = np.concatenate([keys, ivs, tail], axis=1).T.copy()  # (64, n)
@@ -360,8 +376,10 @@ class BatchCipher:
     def _round_key_columns(self, a: np.ndarray, out: np.ndarray) -> None:
         """Write the (17, 8, n) byte round keys of (64, n) mixed states into ``out``.
 
-        The working string is 0..15 34 times; round key i is the high
-        nibbles of its bytes 16i..16i+15 (the even nibbles 32i..32i+30).
+        The 544-nibble working string is 0..15 34 times, chained by 64
+        passes with leaders a0..a63 from the unmodified mixed state; round
+        key i is the high nibbles of its bytes 16i..16i+15 (the even nibbles
+        32i..32i+30), so the last chunk's odd nibbles are never used.
         """
         n = a.shape[1]
         l = _byte_rows(np.tile(np.arange(16, dtype=np.uint16), 34))

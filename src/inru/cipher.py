@@ -14,8 +14,7 @@ indexing.  A hex form takes ASCII hex digits only
 packing, and its 64-bit integer form goes through that packing.
 
 The key-schedule diversifier (``iv``) is a public 64-bit tweak, not a mode
-IV; it defaults to all-zero.  Leaders inside the key schedule are read from
-the frozen initial strings, never from the evolving state.
+IV; it defaults to all-zero.
 
 Reduced-round variants (``rounds`` < 16) run the encryption loop unchanged,
 so they keep the diffusion step in their final round; only the literal
@@ -35,11 +34,12 @@ complement a round owes is folded into the next round's key bytes.  It
 binds the round plan of one key schedule (its :attr:`RoundKeys.key_bytes`)
 once and returns the block function, so a chained mode pays for the plan
 once per message; :func:`encrypt_block` is a one-block view over it.
-The key schedule here runs on :meth:`Quasigroup.apply_chain`.
 
-Decryption, the four diffusion primitives and the traced encryption are
-one-block views over :class:`inru.batch.BatchCipher`, the library's only
-implementation of each: decryption and the diffusion primitives pass it
+The key schedule (:func:`key_mixing`, :func:`round_key_generation`,
+:func:`expand_key`) is a one-key view, and decryption, the four diffusion
+primitives and the traced encryption are one-block views, over
+:class:`inru.batch.BatchCipher`, the library's only implementation of
+each: decryption and the diffusion primitives pass it
 the block's 8 bytes as byte rows, the engine's only state format, and
 decryption passes :attr:`RoundKeys.key_bytes`, the engine's (17, 8) byte
 round keys and the one round-key form besides the ``Block`` tuple.
@@ -57,7 +57,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .batch import NUM_ROUNDS, BatchCipher, check_rounds, tables
-from .quasigroup import INRU, LEFT, RIGHT, Quasigroup, is_hex
+from .quasigroup import INRU, Quasigroup, is_hex
 
 BLOCK_NIBBLES = 16
 KEY_NIBBLES = 32
@@ -376,50 +376,38 @@ def encrypt_block_traced(
 
 # -- Algorithms 3 and 4: key schedule ----------------------------------------
 
-# Both key-schedule algorithms run 64 chain passes, e_left first.
-_ALTERNATING = (LEFT, RIGHT) * 32
-
-
-def mixing_string(key: MasterKey, iv: Diversifier) -> tuple[int, ...]:
-    """The 64-nibble seed string: key, diversifier, then the constant 15..0."""
-    return key.nibbles + iv.nibbles + tuple(range(15, -1, -1))
-
 
 def key_mixing(
     key: MasterKey, iv: Diversifier | None = None, q: Quasigroup = INRU
 ) -> MixedKeyState:
     """Mix key and diversifier by 64 alternating chain passes.
 
-    Pass i (1-based) applies e_left for odd i and e_right for even i with
-    leader s[64-i], always taken from the original seed string, so the
-    leaders consumed are s63, s62, ..., s0 (and s63 is the constant 0).
+    A view over :meth:`inru.batch.BatchCipher.mix_keys` at one key.
     """
-    if iv is None:
-        iv = Diversifier.zero()
-    s = mixing_string(key, iv)
-    return MixedKeyState(q.apply_chain(s[::-1], _ALTERNATING, s))
+    ivs = None if iv is None else [iv.nibbles]
+    return MixedKeyState(tuple(BatchCipher(q).mix_keys([key.nibbles], ivs)[0].tolist()))
 
 
 def round_key_generation(a: MixedKeyState, q: Quasigroup = INRU) -> RoundKeys:
-    """Derive the 17 round keys from the mixed state.
+    """Derive the 17 round keys from the mixed state by 64 more chain passes.
 
-    A 544-nibble working string (0..15 repeated 34 times) is chained 64
-    times with leaders a0..a63 from the unmodified mixed state; round key i
-    takes the 16 even-offset nibbles of the string's i-th 32-nibble chunk.
-    The last chunk's odd offsets (through nibble 543) are simply unused.
+    A view over :meth:`inru.batch.BatchCipher.round_keys_from_states` at
+    one state.
     """
-    l = q.apply_chain(a.nibbles, _ALTERNATING, tuple(range(16)) * 34)
-    keys = tuple(
-        Block(tuple(l[32 * i + 2 * j] for j in range(16))) for i in range(17)
-    )
-    return RoundKeys(keys)
+    rks = BatchCipher(q).round_keys_from_states([a.nibbles])[0]
+    return RoundKeys(tuple(Block(tuple(k)) for k in rks.tolist()))
 
 
 def expand_key(
     key: MasterKey, iv: Diversifier | None = None, q: Quasigroup = INRU
 ) -> RoundKeys:
-    """Full key schedule: key mixing followed by round-key generation."""
-    return round_key_generation(key_mixing(key, iv, q), q)
+    """Full key schedule: key mixing followed by round-key generation.
+
+    A view over :meth:`inru.batch.BatchCipher.expand_key_bytes` at one key.
+    """
+    ivs = None if iv is None else [iv.nibbles]
+    rks = BatchCipher(q).expand_key_bytes([key.nibbles], ivs)[0]
+    return RoundKeys(tuple(Block.from_bytes(bytes(k)) for k in rks))
 
 
 # -- known-answer vector files ------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import SLICE_BLOCKS, BatchCipher, _byte_rows, check_rounds
-from .cipher import Block, MasterKey, expand_key
+from .cipher import Block
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,6 @@ def diff_propagation_experiment(
 # -- avalanche and strict avalanche -------------------------------------------
 
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
-
 def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
     """One key's worth of plaintext-flip encryptions.
 
@@ -133,7 +130,7 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
     key_nibbles, count, sub_seed, rounds = args
     rng = np.random.default_rng(sub_seed)
     eng = BatchCipher()
-    rks = expand_key(MasterKey(tuple(key_nibbles))).key_bytes
+    rks = eng.expand_key_bytes([key_nibbles])[0]
     nibbles = rng.integers(0, 16, size=(count, 16), dtype=np.uint8)
     pts = _byte_rows(nibbles.T)  # (8, count) byte rows
     base = eng.encrypt_bytes(pts.T, rks, rounds).T
@@ -145,7 +142,7 @@ def _flip_unit(args) -> tuple[np.ndarray, np.ndarray]:
     flip_counts = np.empty((64, 64), dtype=np.int64)
     for j in range(64):  # ciphertext bit j, counted without unpacking
         flip_counts[:, j] = np.count_nonzero(d[j >> 3] & (0x80 >> (j & 7)), axis=1)
-    unit_means = _POPCOUNT[d].sum(axis=(0, 1), dtype=np.int64) / (64 * 64) * 100.0
+    unit_means = np.bitwise_count(d).sum(axis=(0, 1), dtype=np.int64) / (64 * 64) * 100.0
     return flip_counts, unit_means
 
 
@@ -238,10 +235,10 @@ def _key_flip_diffs(eng, base_keys, pts, rounds):
     rks = eng.expand_key_bytes(keys.reshape(-1, 32))  # (m * 129, 17, 8)
 
     rk = rks.reshape(m, 129, 17, 8)
-    rk_diffs = _POPCOUNT[rk[:, 1:] ^ rk[:, :1]].sum(axis=(2, 3), dtype=np.int64)
+    rk_diffs = np.bitwise_count(rk[:, 1:] ^ rk[:, :1]).sum(axis=(2, 3), dtype=np.int64)
 
     ct = eng.encrypt_bytes(np.repeat(pts, 129, axis=0), rks, rounds).reshape(m, 129, 8)
-    ct_diffs = _POPCOUNT[ct[:, 1:] ^ ct[:, :1]].sum(axis=2, dtype=np.int64)
+    ct_diffs = np.bitwise_count(ct[:, 1:] ^ ct[:, :1]).sum(axis=2, dtype=np.int64)
     return rk_diffs, ct_diffs
 
 

@@ -161,32 +161,6 @@ class Quasigroup:
         """Inverse of e_right: b_last = l \\ a_last, bi = a(i+1) \\ ai."""
         return self.d_left(leader, s[::-1])[::-1]
 
-    def apply_chain(
-        self,
-        leaders: Sequence[int],
-        directions: Sequence[str],
-        s: Sequence[int],
-    ) -> NibbleString:
-        """Compose e-transformations; the empty chain is the identity.
-
-        ``directions[i]`` selects e_left or e_right for ``leaders[i]``; the
-        transformations are applied in sequence order.  The key schedule is
-        one long such chain.
-        """
-        if len(leaders) != len(directions):
-            raise ValueError(
-                f"{len(leaders)} leaders but {len(directions)} directions"
-            )
-        out = tuple(s)
-        for l, d in zip(leaders, directions):
-            if d == LEFT:
-                out = self.e_left(l, out)
-            elif d == RIGHT:
-                out = self.e_right(l, out)
-            else:
-                raise ValueError(f"unknown direction {d!r}")
-        return out
-
 
 def conjugate(q: Quasigroup, which: str) -> Quasigroup:
     """The parastrophe whose multiplication is a division of q.

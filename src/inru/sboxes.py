@@ -77,10 +77,6 @@ class Lat:
         return int(b.max())
 
 
-# Parity of every byte: sbox inputs and outputs have at most 8 bits.
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.int64)
-
-
 def build_ddt(s: SboxView) -> Ddt:
     size, osize = 1 << s.input_bits, 1 << s.output_bits
     table = np.array(s.table, dtype=np.int64)
@@ -95,9 +91,10 @@ def build_lat(s: SboxView) -> Lat:
     """Each entry is half the correlation sum of two +-1 parity matrices."""
     x = np.arange(1 << s.input_bits)
     sx = np.array(s.table, dtype=np.int64)
-    signs_in = 1 - 2 * _PARITY[np.bitwise_and.outer(x, x)]  # [a, x]
-    signs_out = 1 - 2 * _PARITY[np.bitwise_and.outer(np.arange(1 << s.output_bits), sx)]  # [b, x]
-    return Lat((signs_in @ signs_out.T) // 2)
+    # int64 parities: 1 - 2 * parity would wrap in bitwise_count's uint8.
+    parity_in = (np.bitwise_count(np.bitwise_and.outer(x, x)) & 1).astype(np.int64)  # [a, x]
+    parity_out = (np.bitwise_count(np.bitwise_and.outer(np.arange(1 << s.output_bits), sx)) & 1).astype(np.int64)  # [b, x]
+    return Lat(((1 - 2 * parity_in) @ (1 - 2 * parity_out).T) // 2)
 
 
 def render_ddt(s: SboxView, ddt: Ddt) -> str:

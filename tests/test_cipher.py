@@ -21,7 +21,6 @@ from inru.cipher import (
     expand_key,
     int_encryptor,
     key_mixing,
-    mixing_string,
     parse_vector_line,
     read_vectors,
     round_key_generation,
@@ -210,18 +209,26 @@ def test_round_key_generation_from_zero_state():
     assert [k.to_hex() for k in rks.keys] == list(ZERO_STATE_ROUND_KEYS)
 
 
+def _mixing_string(key, iv):
+    """The 64-nibble seed string: key, diversifier, then the constant 15..0."""
+    return key.nibbles + iv.nibbles + tuple(range(15, -1, -1))
+
+
 def test_mixing_string_layout():
+    # Key mixing chains the seed string with its own nibbles s63 (the
+    # constant 0), s62, ..., s0 as leaders, e_left first.
     key = MasterKey(tuple(range(16)) + tuple(range(16)))
     iv = Diversifier(tuple(15 - i for i in range(16)))
-    s = mixing_string(key, iv)
-    assert len(s) == 64
-    assert s[:32] == key.nibbles
-    assert s[32:48] == iv.nibbles
-    assert s[48:] == tuple(range(15, -1, -1))
-    assert s[63] == 0  # the final leader constant
+    s = _mixing_string(key, iv)
+    a = s
+    for i, leader in enumerate(reversed(s)):
+        a = (INRU.e_right if i & 1 else INRU.e_left)(leader, a)
+    assert key_mixing(key, iv).nibbles == a
+    assert list(a) == ora.ora_key_mixing(list(key.nibbles), list(iv.nibbles))
 
 
-def test_library_matches_straightline_oracle(rng):
+def test_library_matches_straightline_oracle(rng, monkeypatch):
+    keys, ivs, ora_schedules = [], [], []
     for _ in range(25):
         key, iv, m = random_key(rng), random_iv(rng), random_block(rng)
         rks = expand_key(key, iv)
@@ -230,6 +237,19 @@ def test_library_matches_straightline_oracle(rng):
         assert list(encrypt_block(m, rks).nibbles) == ora.ora_encrypt(list(m.nibbles), ora_rks)
         ct = [rng.randrange(16) for _ in range(16)]
         assert list(decrypt_block(Block(tuple(ct)), rks).nibbles) == ora.ora_decrypt(ct, ora_rks)
+        keys.append(key.nibbles)
+        ivs.append(iv.nibbles)
+        ora_schedules.append(ora_rks)
+
+    # The many-key schedule (one key runs a separate walk), under INRU and
+    # under the left conjugate, whose table is the oracle's left division.
+    def schedules(q):
+        kb = BatchCipher(q).expand_key_bytes(np.array(keys, np.uint8), np.array(ivs, np.uint8))
+        return np.stack([kb >> 4, kb & 15], axis=-1).reshape(len(keys), 17, 16).tolist()
+
+    assert schedules(INRU) == ora_schedules
+    monkeypatch.setattr(ora, "ORACLE_SQUARE", ora.ORACLE_LDIV)
+    assert schedules(conjugate(INRU, "left")) == [ora.ora_expand_key(list(k), list(v)) for k, v in zip(keys, ivs)]
 
 
 def test_encrypt_decrypt_round_trip(rng):
@@ -465,7 +485,7 @@ def test_single_mixing_pass_changes_at_difference_position():
     key = MasterKey.zero()
     iv_a = Diversifier.zero()
     iv_b = Diversifier((0,) * 7 + (5,) + (0,) * 8)  # differs at s position 39
-    sa, sb = mixing_string(key, iv_a), mixing_string(key, iv_b)
+    sa, sb = _mixing_string(key, iv_a), _mixing_string(key, iv_b)
     out_a = INRU.e_left(sa[63], sa)
     out_b = INRU.e_left(sb[63], sb)
     assert out_a[:39] == out_b[:39]

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inru import experiments
 from inru.batch import SLICE_BLOCKS, BatchCipher
 from inru.cipher import Block, MasterKey, encrypt_block, expand_key
 from inru.experiments import (
@@ -65,7 +64,6 @@ def test_rounds_validated_before_any_key_schedule(experiment, rounds, monkeypatc
 
         return called
 
-    monkeypatch.setattr(experiments, "expand_key", spy(expand_key))
     monkeypatch.setattr(BatchCipher, "expand_key_bytes", spy(BatchCipher.expand_key_bytes))
     with pytest.raises(ValueError, match="rounds must be in 1..16"):
         experiment(4, rounds=rounds)

@@ -154,20 +154,6 @@ def test_mirror_law(l, s):
     assert INRU.d_right(l, s) == tuple(reversed(INRU.d_left(l, rev)))
 
 
-def test_apply_chain(rng):
-    s = tuple(rng.randrange(16) for _ in range(20))
-    assert INRU.apply_chain((), (), s) == s
-    assert INRU.apply_chain((7,), ("left",), s) == INRU.e_left(7, s)
-    out = INRU.apply_chain((3, 0xA), ("left", "right"), s)
-    # invert: division chain in reverse order
-    back = INRU.d_left(3, INRU.d_right(0xA, out))
-    assert back == s
-    with pytest.raises(ValueError):
-        INRU.apply_chain((1, 2), ("left",), s)
-    with pytest.raises(ValueError):
-        INRU.apply_chain((1,), ("sideways",), s)
-
-
 # -- structural checkers ----------------------------------------------------
 
 
