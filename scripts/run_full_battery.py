@@ -26,9 +26,16 @@ import resource
 import sys
 import time
 
-from arg_types import positive_int
 from inru.battery import nist_experiment
 from inru.modes import MODES
+
+
+def positive_int(text):
+    """A count of at least 1; a smaller one exits 2 with a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def peak_rss(jobs):

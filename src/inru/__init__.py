@@ -19,15 +19,11 @@ from .cipher import (
     MixedKeyState,
     RoundKeys,
     decrypt_block,
-    diffuse_left,
-    diffuse_right,
     encrypt_block,
     encrypt_block_traced,
     expand_key,
     key_mixing,
     round_key_generation,
-    undiffuse_left,
-    undiffuse_right,
 )
 from .batch import BatchCipher
 from .modes import ModeConfig, PaddingError, mode_decrypt, mode_encrypt

@@ -5,17 +5,18 @@ Working arrays are kept transposed (position, batch) so each row step
 touches contiguous memory; a quasigroup chain is sequential along the
 positions, so vectorization runs across the batch axis only.
 
-Every algorithm runs on (8, n) byte rows under (17, 8) byte round keys;
-nibbles appear only at the nibble views.  A chain is a 16-state
-transducer, so one lookup in a byte-wide table per byte row advances it
-by two nibbles, the table-driven technique of Sarwate ("Computation of
-cyclic redundancy checks via table look-up", CACM 1988).  Each row step
-is at most one mask, one ``|`` and one ``take``.  The byte methods
-(:meth:`BatchCipher.expand_key_bytes`, :meth:`BatchCipher.encrypt_bytes`,
-:meth:`BatchCipher.decrypt_bytes`) take and return byte blocks and byte
-round keys; the nibble views (``expand_keys``, ``encrypt``, ``decrypt``,
-``trace_rounds``) take and return nibbles.  Every entry point rejects a
-wrong shape with a ValueError naming the shape it expects.
+Every algorithm runs on (8, n) byte rows under (17, 8) byte round keys.
+A chain is a 16-state transducer, so one lookup in a byte-wide table
+per byte row advances it by two nibbles, the table-driven technique of
+Sarwate ("Computation of cyclic redundancy checks via table look-up",
+CACM 1988).  Each row step is at most one mask, one ``|`` and one
+``take``.  Blocks and round keys go in and come out as bytes; nibbles
+enter only as the key schedule's keys and diversifiers, and leave only
+as the intermediates of :meth:`BatchCipher.trace_rounds`, which the
+analyses count per nibble.  The nibble views ``expand_keys``,
+``encrypt`` and ``decrypt`` have no library caller; they stay while the
+benchmark traces them.  Every entry point rejects a wrong shape with a
+ValueError naming the shape it expects.
 :meth:`BatchCipher.encrypt_bytes`, :meth:`BatchCipher.decrypt_bytes` and
 the key schedule :meth:`BatchCipher.expand_key_bytes` run on column
 slices of :data:`SLICE_BLOCKS` blocks or keys, so beyond their input and
@@ -35,14 +36,15 @@ scan of the byte parities.
 
 This engine is the library's only implementation of the key schedule,
 of decryption, of the diffusion layers and of the round trace:
-:mod:`inru.cipher` runs them as one-key or one-block views over it.  The
+:mod:`inru.cipher` runs the key schedule, decryption and the round
+trace as one-key or one-block views over it.  The
 key schedule's chain passes run as numpy row steps across a batch of
 keys, and as a plain walk over the same chain tables for one key.
 :mod:`inru.cipher` keeps a scalar encryption loop over the same round
 tables for the sequential modes.  The test suite pins both engines to
 the independent transcription in ``tests/straightline.py``.  Per-round
 intermediates for the analyses come from :meth:`BatchCipher.trace_rounds`,
-a nibble view of the engine's only encryption round loop.
+which runs the engine's only encryption round loop.
 """
 
 from __future__ import annotations
@@ -359,7 +361,10 @@ class BatchCipher:
         return out.transpose(2, 0, 1)
 
     def expand_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
-        """Nibble view of :meth:`expand_key_bytes`: round keys of shape (n, 17, 16)."""
+        """Nibble view of :meth:`expand_key_bytes`: round keys of shape (n, 17, 16).
+
+        No library caller: kept while the benchmark traces it.
+        """
         return _nibble_rows(self.expand_key_bytes(keys, ivs).T).T
 
     def mix_keys(self, keys: np.ndarray, ivs: np.ndarray | None = None) -> np.ndarray:
@@ -367,11 +372,14 @@ class BatchCipher:
         return self._mixed_state_columns(*_keys_and_ivs(keys, ivs)).T.copy()
 
     def round_keys_from_states(self, states: np.ndarray) -> np.ndarray:
-        """Round-key generation alone, from (n, 64) mixed-key states, as (n, 17, 16) nibbles."""
+        """Round-key generation alone: (n, 64) mixed-key states to (n, 17, 8) byte round keys.
+
+        The result is a transposed view, as in :meth:`expand_key_bytes`.
+        """
         states = _shaped(states, "states", (None, 64))
         out = np.empty((17, 8, len(states)), dtype=np.uint8)
         self._round_key_columns(states.T.copy(), out)
-        return _nibble_rows(out.transpose(1, 0, 2)).T
+        return out.transpose(2, 0, 1)
 
     def _round_key_columns(self, a: np.ndarray, out: np.ndarray) -> None:
         """Write the (17, 8, n) byte round keys of (64, n) mixed states into ``out``.
@@ -423,16 +431,16 @@ class BatchCipher:
             yield i, x, state
 
     def trace_rounds(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS):
-        """Encrypt (n, 16) nibble blocks round by round, yielding the intermediates.
+        """Encrypt (n, 8) byte blocks round by round, yielding nibble intermediates.
 
         Yields ``(round, after_kxor, after_sbox, after_diffusion)`` per round,
-        each a fresh (16, n) array (position, block) that later rounds never
-        modify; ``after_diffusion`` is None for the literal round 16.  The
-        generator returns the state that the final whitening with round key
-        ``rounds`` applies to, as :meth:`encrypt` does.  ``rks`` is (17, 16)
-        or (n, 17, 16) nibbles.
+        each a fresh (16, n) nibble array (position, block) that later
+        rounds never modify; ``after_diffusion`` is None for the literal
+        round 16.  The generator returns the nibble state that the final
+        whitening with round key ``rounds`` applies to.  ``rks`` is (17, 8)
+        or (n, 17, 8) bytes.  The whole batch runs as one slice.
         """
-        blocks, rks = _packed(blocks, rks)
+        blocks = _shaped(blocks, "blocks", (None, 8))
         rows = np.ascontiguousarray(blocks.T)
         for i, x, out in self._rounds(rows, _round_key_rows(rks, len(blocks)), rounds):
             state = _nibble_rows(out)
@@ -489,9 +497,15 @@ class BatchCipher:
         return out.T
 
     def encrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles."""
+        """Encrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles.
+
+        No library caller: a view of :meth:`encrypt_bytes` kept while the benchmark traces it.
+        """
         return _nibble_rows(self.encrypt_bytes(*_packed(blocks, rks), rounds).T).T.copy()
 
     def decrypt(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
-        """Decrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles."""
+        """Decrypt (n, 16) nibble blocks; ``rks`` is (17, 16) or (n, 17, 16) nibbles.
+
+        No library caller: a view of :meth:`decrypt_bytes` kept while the benchmark traces it.
+        """
         return _nibble_rows(self.decrypt_bytes(*_packed(blocks, rks), rounds).T).T.copy()

@@ -36,13 +36,16 @@ once and returns the block function, so a chained mode pays for the plan
 once per message; :func:`encrypt_block` is a one-block view over it.
 
 The key schedule (:func:`key_mixing`, :func:`round_key_generation`,
-:func:`expand_key`) is a one-key view, and decryption, the four diffusion
-primitives and the traced encryption are one-block views, over
-:class:`inru.batch.BatchCipher`, the library's only implementation of
-each: decryption and the diffusion primitives pass it
-the block's 8 bytes as byte rows, the engine's only state format, and
-decryption passes :attr:`RoundKeys.key_bytes`, the engine's (17, 8) byte
-round keys and the one round-key form besides the ``Block`` tuple.
+:func:`expand_key`) is a one-key view, and decryption and the traced
+encryption are one-block views, over :class:`inru.batch.BatchCipher`,
+the library's only implementation of each.  They pass it the block's 8
+bytes as byte rows, the engine's only state format.  :class:`RoundKeys`
+holds the engine's 136 round-key bytes as they come out of the key
+schedule, and every engine reads them as :attr:`RoundKeys.key_bytes`,
+the (17, 8) byte round keys; its nibble ``Block`` views (``rk[i]``,
+:attr:`RoundKeys.keys`) serve the traced encryption, the algebraic
+system and the printed key schedule.  The diffusion layers live in the
+engine only.
 
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
@@ -51,7 +54,7 @@ keys and round keys can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -167,51 +170,35 @@ class MixedKeyState(_Nibbles):
 
 @dataclass(frozen=True)
 class RoundKeys:
-    """The 17 64-bit round keys rk0..rk16."""
+    """The 17 64-bit round keys rk0..rk16 as the engine's 136 bytes, 8 a key.
 
-    keys: tuple[Block, ...]
+    ``data`` takes any 136-byte buffer, such as the engine's (17, 8) uint8
+    array, and keeps it as ``bytes``, so round keys compare and hash by
+    value.
+    """
+
+    data: bytes
 
     def __post_init__(self):
-        if len(self.keys) != NUM_ROUND_KEYS:
-            raise ValueError(f"need {NUM_ROUND_KEYS} round keys, got {len(self.keys)}")
+        data = bytes(self.data)
+        if len(data) != 8 * NUM_ROUND_KEYS:
+            raise ValueError(f"need {NUM_ROUND_KEYS} round keys of 8 bytes, got {len(data)} bytes")
+        object.__setattr__(self, "data", data)
 
     def __getitem__(self, i: int) -> Block:
-        return self.keys[i]
+        """Round key i as a nibble ``Block``."""
+        i = range(NUM_ROUND_KEYS)[i]
+        return Block.from_bytes(self.data[8 * i : 8 * i + 8])
 
-    @cached_property
+    @property
+    def keys(self) -> tuple[Block, ...]:
+        """The round keys as nibble ``Block``s."""
+        return tuple(self[i] for i in range(NUM_ROUND_KEYS))
+
+    @property
     def key_bytes(self) -> np.ndarray:
-        """A read-only (17, 8) uint8 array, computed once: the ``rks`` of the byte engine."""
-        nibbles = np.array([k.nibbles for k in self.keys], dtype=np.uint8)
-        rks = (nibbles[:, 0::2] << 4) | nibbles[:, 1::2]
-        rks.flags.writeable = False
-        return rks
-
-
-# -- round primitives --------------------------------------------------------
-
-
-def _column_view(layer, b: Block) -> Block:
-    """A batch diffusion layer applied to one block's 8 bytes as an (8, 1) column."""
-    column = np.frombuffer(b.to_bytes(), dtype=np.uint8)[:, None]
-    return Block.from_bytes(layer(column)[:, 0].tobytes())
-
-
-def diffuse_left(b: Block) -> Block:
-    """eLeft over (F2, xor) with leader 1: output bit j = 1 ^ (y0 ^ ... ^ yj)."""
-    return _column_view(BatchCipher._diffuse_left, b)
-
-
-def diffuse_right(b: Block) -> Block:
-    """eRight over (F2, xor) with leader 0: output bit j = yj ^ ... ^ y63."""
-    return _column_view(BatchCipher._diffuse_right, b)
-
-
-def undiffuse_left(b: Block) -> Block:
-    return _column_view(BatchCipher._undiffuse_left, b)
-
-
-def undiffuse_right(b: Block) -> Block:
-    return _column_view(BatchCipher._undiffuse_right, b)
+        """A read-only (17, 8) uint8 view of ``data``: the ``rks`` of the byte engine."""
+        return np.frombuffer(self.data, dtype=np.uint8).reshape(NUM_ROUND_KEYS, 8)
 
 
 # -- Algorithms 1 and 2 ------------------------------------------------------
@@ -356,8 +343,8 @@ def encrypt_block_traced(
     A view over :meth:`inru.batch.BatchCipher.trace_rounds` at batch size 1.
     """
     traces = []
-    rks = np.array([k.nibbles for k in rk.keys], dtype=np.uint8)  # the engine's nibble keys
-    for i, y, z, u in BatchCipher(q).trace_rounds([m.nibbles], rks, rounds):
+    block = np.frombuffer(m.to_bytes(), dtype=np.uint8)[None]
+    for i, y, z, u in BatchCipher(q).trace_rounds(block, rk.key_bytes, rounds):
         after_kxor = tuple(y[:, 0].tolist())
         after_sbox = tuple(z[:, 0].tolist())
         after_diffusion = None if u is None else tuple(u[:, 0].tolist())
@@ -394,8 +381,7 @@ def round_key_generation(a: MixedKeyState, q: Quasigroup = INRU) -> RoundKeys:
     A view over :meth:`inru.batch.BatchCipher.round_keys_from_states` at
     one state.
     """
-    rks = BatchCipher(q).round_keys_from_states([a.nibbles])[0]
-    return RoundKeys(tuple(Block(tuple(k)) for k in rks.tolist()))
+    return RoundKeys(BatchCipher(q).round_keys_from_states([a.nibbles])[0])
 
 
 def expand_key(
@@ -406,8 +392,7 @@ def expand_key(
     A view over :meth:`inru.batch.BatchCipher.expand_key_bytes` at one key.
     """
     ivs = None if iv is None else [iv.nibbles]
-    rks = BatchCipher(q).expand_key_bytes([key.nibbles], ivs)[0]
-    return RoundKeys(tuple(Block.from_bytes(bytes(k)) for k in rks))
+    return RoundKeys(BatchCipher(q).expand_key_bytes([key.nibbles], ivs)[0])
 
 
 # -- known-answer vector files ------------------------------------------------

@@ -76,8 +76,8 @@ class DiffPropagationResult:
 def _activation_counts(eng, keys, pts, delta, rounds):
     """(rounds, 16) counts of active Sbox positions over the pairs (pts, pts ^ delta)."""
     m = len(pts)
-    rks = eng.expand_keys(keys)
-    pairs = np.concatenate([pts, pts ^ np.array(delta.nibbles, dtype=np.uint8)])
+    rks = eng.expand_key_bytes(keys)
+    pairs = _byte_rows(np.concatenate([pts, pts ^ np.array(delta.nibbles, dtype=np.uint8)]).T).T
     active = np.zeros((rounds, 16), dtype=np.int64)
     for i, after_kxor, after_sbox, _ in eng.trace_rounds(pairs, np.concatenate([rks, rks]), rounds):
         differs = after_kxor[:, :m] != after_kxor[:, m:]

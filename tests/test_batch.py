@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import straightline as ora
 
-from inru.batch import SLICE_BLOCKS, BatchCipher, Tables, _prefix_xors, _suffix_xors, tables
+from inru.batch import SLICE_BLOCKS, BatchCipher, Tables, _byte_rows, _prefix_xors, _suffix_xors, tables
 from inru.cipher import (
     Block,
     Diversifier,
@@ -151,9 +151,10 @@ def test_round_keys_from_states_matches_scalar(engine):
     rng = np.random.default_rng(21)
     states = rng.integers(0, 16, size=(10, 64), dtype=np.uint8)
     rks = engine.round_keys_from_states(states)
+    assert rks.shape == (10, 17, 8) and rks.dtype == np.uint8
     for j in range(10):
         ref = round_key_generation(MixedKeyState(tuple(int(v) for v in states[j])))
-        assert [list(k.nibbles) for k in ref.keys] == rks[j].tolist()
+        assert np.array_equal(rks[j], ref.key_bytes)
 
 
 def test_mix_keys_matches_scalar(engine):
@@ -195,14 +196,8 @@ def test_shared_schedule_broadcast(engine):
     ct = engine.encrypt(blocks, rks)
     assert np.array_equal(engine.decrypt(ct, rks), blocks)
     # spot check one row against the scalar path under the same schedule
-    ref = encrypt_block(Block(tuple(int(v) for v in blocks[0])), _to_roundkeys(rks))
+    ref = encrypt_block(Block(tuple(int(v) for v in blocks[0])), _round_keys(rks))
     assert list(ref.nibbles) == ct[0].tolist()
-
-
-def _to_roundkeys(rks_array):
-    from inru.cipher import RoundKeys
-
-    return RoundKeys(tuple(Block(tuple(int(v) for v in rk)) for rk in rks_array))
 
 
 def test_rounds_validation(engine):
@@ -238,13 +233,14 @@ def test_diffusion_matches_oracle_column_by_column(diffuse, undiffuse, oracle, w
     for j in range(width):
         assert nibbles[:, j].tolist() == oracle(w[:, j].tolist())
     assert np.array_equal(undiffuse(out), rows)
+    assert np.array_equal(diffuse(undiffuse(rows)), rows)
 
 
 @pytest.mark.parametrize("rounds", [3, 16])
 def test_traced_sbox_outputs_survive_later_rounds(engine, rounds):
     rng = np.random.default_rng(30 + rounds)
-    blocks = rng.integers(0, 16, size=(13, 16), dtype=np.uint8)
-    rks = engine.expand_keys(rng.integers(0, 16, size=(13, 32), dtype=np.uint8))
+    blocks = rng.integers(0, 256, size=(13, 8), dtype=np.uint8)
+    rks = engine.expand_key_bytes(rng.integers(0, 16, size=(13, 32), dtype=np.uint8))
     kept, copies = [], []
     for _, _, after_sbox, _ in engine.trace_rounds(blocks, rks, rounds):
         kept.append(after_sbox)
@@ -261,7 +257,8 @@ def _block_ints(blocks):
 
 
 def _round_keys(rks):
-    return RoundKeys(tuple(Block(tuple(int(v) for v in rk)) for rk in rks))
+    """(17, 16) nibble round keys as ``RoundKeys``."""
+    return RoundKeys(_byte_rows(rks.T).T)
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +317,7 @@ def test_trace_rounds_matches_oracle(engine, width, shared):
     blocks = rng.integers(0, 16, size=(width, 16), dtype=np.uint8)
     rks = rng.integers(0, 16, size=(17, 16) if shared else (width, 17, 16), dtype=np.uint8)
     states = [list(m) for m in blocks.tolist()]
-    steps = engine.trace_rounds(blocks, rks, 16)
+    steps = engine.trace_rounds(_byte_rows(blocks.T).T, _byte_rows(rks.T).T, 16)
     while True:
         try:
             i, after_kxor, after_sbox, after_diffusion = next(steps)
@@ -379,14 +376,17 @@ def test_encrypt_bytes_rejects_nibble_blocks(engine):
         engine.decrypt_bytes(np.zeros((3, 16), dtype=np.uint8), np.zeros((17, 8), dtype=np.uint8))
 
 
-_NIBBLE_VIEWS = ("encrypt", "decrypt", "trace_rounds")
+_NIBBLE_VIEWS = ("encrypt", "decrypt")
 _NIBBLE_BLOCKS = "blocks must have shape (n, 16), got "
 _NIBBLE_RKS = "round keys must have shape (17, 16) or (3, 17, 16), got "
 _BYTE_RKS = "round keys must have shape (17, 8) or (3, 17, 8), got "
 _SHAPE_CASES = [  # (method, argument shapes, the error's message)
     *[(method, [(3, 15), (17, 16)], _NIBBLE_BLOCKS + "(3, 15)") for method in _NIBBLE_VIEWS],
+    ("trace_rounds", [(3, 16), (17, 8)], "blocks must have shape (n, 8), got (3, 16)"),
     *[(method, [(3, 16), (16, 16)], _NIBBLE_RKS + "(16, 16)") for method in _NIBBLE_VIEWS],
+    ("trace_rounds", [(3, 8), (16, 8)], _BYTE_RKS + "(16, 8)"),
     *[(method, [(3, 16), (4, 17, 16)], _NIBBLE_RKS + "(4, 17, 16)") for method in _NIBBLE_VIEWS],
+    ("trace_rounds", [(3, 8), (4, 17, 8)], _BYTE_RKS + "(4, 17, 8)"),
     ("encrypt_bytes", [(3, 8), (17, 16)], _BYTE_RKS + "(17, 16)"),
     ("decrypt_bytes", [(3, 8), (17, 16)], _BYTE_RKS + "(17, 16)"),
     ("decrypt_bytes", [(3, 8), (2, 17, 8)], _BYTE_RKS + "(2, 17, 8)"),
@@ -394,6 +394,7 @@ _SHAPE_CASES = [  # (method, argument shapes, the error's message)
     ("expand_keys", [(2, 32), (2, 15)], "ivs must have shape (2, 16), got (2, 15)"),
     ("expand_keys", [(2, 32), (3, 16)], "ivs must have shape (2, 16), got (3, 16)"),
     ("expand_key_bytes", [(2, 31)], "keys must have shape (n, 32), got (2, 31)"),
+    ("trace_rounds", [(3, 8), (17, 16)], _BYTE_RKS + "(17, 16)"),
 ]
 
 
@@ -423,7 +424,7 @@ def test_sliced_engine_matches_scalar_and_oracle_across_slice_boundaries(engine,
     picks = {0, n - 1, *rng.choice(n, 3, replace=False).tolist(), *(c for c in edges if 0 <= c < n)}
     for c in sorted(picks):
         rk_rows = rks if shared else rks[c]
-        rk = RoundKeys(tuple(Block.from_bytes(bytes(row)) for row in rk_rows))
+        rk = RoundKeys(rk_rows)
         oracle_rks = [_nibbles_of(row) for row in rk_rows]
         x = int.from_bytes(bytes(blocks[c]), "big")
         assert int.from_bytes(bytes(ct[c]), "big") == int_encryptor(rk)(x)

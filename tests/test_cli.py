@@ -615,23 +615,6 @@ def test_full_battery_script_rejects_counts_below_one(flag):
     assert f"argument {flag}: must be at least 1, got 0" in proc.stderr
 
 
-AVALANCHE = FULL_BATTERY.with_name("run_avalanche.py")
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--trials", "0", "must be at least 1, got 0"),
-    ("--keys", "0", "must be at least 1, got 0"),
-    ("--jobs", "0", "must be at least 1, got 0"),
-    ("--rounds", "17", "rounds must be in 1..16"),
-])
-def test_avalanche_script_rejects_bad_counts(flag, value, message):
-    proc = subprocess.run([sys.executable, str(AVALANCHE), flag, value],
-                          capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert f"argument {flag}: {message}" in proc.stderr
-    assert proc.stdout == ""
-
-
 @pytest.mark.parametrize("rounds", ["0", "17"])
 def test_algsys_rejects_rounds_before_opening_the_output(rounds, tmp_path, capsys):
     out = tmp_path / "system.txt"

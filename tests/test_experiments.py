@@ -52,8 +52,12 @@ def test_rounds_validated():
         diff_propagation_experiment(0, LAST_NIBBLE, trials=10)
 
 
+def diff_propagation(trials, rounds):
+    return diff_propagation_experiment(rounds, LAST_NIBBLE, trials)
+
+
 @pytest.mark.parametrize("rounds", [0, 17])
-@pytest.mark.parametrize("experiment", [avalanche_plaintext, sac_matrix, avalanche_key])
+@pytest.mark.parametrize("experiment", [avalanche_plaintext, sac_matrix, avalanche_key, diff_propagation])
 def test_rounds_validated_before_any_key_schedule(experiment, rounds, monkeypatch):
     calls = []
 
