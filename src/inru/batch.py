@@ -1,11 +1,11 @@
-"""Vectorized cipher engine: key schedule, encryption, decryption, diffusion.
+"""The cipher engine: key schedule, encryption, decryption, diffusion.
 
 The cipher's algorithms run here batched across independent inputs.
 Working arrays are kept transposed (position, batch) so each row step
 touches contiguous memory; a quasigroup chain is sequential along the
 positions, so vectorization runs across the batch axis only.
 
-Every algorithm runs on (8, n) byte rows under (17, 8) byte round keys.
+Every batched kernel runs on (8, n) byte rows under (17, 8) byte round keys.
 A chain is a 16-state transducer, so one lookup in a byte-wide table
 per byte row advances it by two nibbles, the table-driven technique of
 Sarwate ("Computation of cyclic redundancy checks via table look-up",
@@ -24,34 +24,34 @@ output they hold one slice's temporaries whatever n is.
 :func:`tables` builds the tables once per quasigroup:
 
 * three round tables that fuse a round's chain with its diffusion scan;
-  the scalar engine :func:`inru.cipher.int_encryptor` walks linked rows
-  derived from them, so both engines get the round from one definition;
 * a left and a right chain table for the key schedule;
 * a left and a right division table for decryption; a division chain
   reads only its input, so a round is one ``take`` over the whole state.
 
 The diffusion layers are the byte scans of :func:`_prefix_xors` and
-:func:`_suffix_xors`, which the round tables fuse, plus a 7-step row
-scan of the byte parities.
+:func:`_suffix_xors`, which the round tables fuse; decryption inverts
+them with ``_undiffuse_left`` and ``_undiffuse_right``.
 
 This engine is the library's only implementation of the key schedule,
-of decryption, of the diffusion layers and of the round trace:
-:mod:`inru.cipher` runs the key schedule, decryption and the round
-trace as one-key or one-block views over it.  The
-key schedule's chain passes run as numpy row steps across a batch of
-keys, and as a plain walk over the same chain tables for one key.
-:mod:`inru.cipher` keeps a scalar encryption loop over the same round
-tables for the sequential modes.  The test suite pins both engines to
-the independent transcription in ``tests/straightline.py``.  Per-round
-intermediates for the analyses come from :meth:`BatchCipher.trace_rounds`,
-which runs the engine's only encryption round loop.
+of encryption, of decryption, of the diffusion layers and of the round
+trace: :mod:`inru.cipher` runs each as a one-key or one-block view over
+it.  The key schedule and encryption each have two kernels over the
+same tables: numpy row steps across a batch, and a plain walk for one
+key or one block.  The key schedule picks its kernel by batch size.
+Encryption walks the round tables as row steps in
+:meth:`BatchCipher.encrypt_bytes` and :meth:`BatchCipher.trace_rounds`,
+and as linked rows (:func:`_round_table_rows`) in
+:meth:`BatchCipher.int_encryptor`, which the chained modes bind once
+per stream.  Both kernels take each round's table, leader and direction
+from :func:`_round_plan`.  The test suite pins both kernels to the
+independent transcription in ``tests/straightline.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -182,6 +182,46 @@ def tables(q: Quasigroup) -> Tables:
     return built
 
 
+def _round_plan(i, k, round_tables):
+    """Encryption round i's table, its leader's walk state and its direction.
+
+    ``k`` is the round's 8 key bytes, as ints or as byte rows across a
+    batch, and ``round_tables`` is the odd, even and last round table in
+    either kernel's form.  Odd rounds chain left to right from the key's
+    first nibble, even rounds right to left from its last nibble.  The
+    leader's walk state is its nibble with parity 0.  Returns ``(table,
+    state, forward)``, with ``forward`` true for left to right.
+    """
+    odd, even, last = round_tables
+    if i & 1:
+        return odd, (k[0] >> 4) << 1, True
+    # Only the literal 16th round drops its diffusion step.
+    return (even if i != 16 else last), (k[7] & 15) << 1, False
+
+
+@lru_cache(maxsize=8)
+def _round_table_rows(q: Quasigroup) -> tuple[list[list], list[list], list[list]]:
+    """The round tables of :func:`tables` as linked rows.
+
+    Each table becomes 32 rows, one per walk state s.  Entry b of row s is
+    ``(rows[s'], output byte)`` for the table's entry ``s << 8 | b`` =
+    ``s' << 8 | output byte``, and entry 256 is the row's parity ``s & 1``.
+    A table holds only a few hundred distinct entries, so the rows share
+    one link tuple per distinct entry.
+    """
+    t = tables(q)
+    built = []
+    for table in (t.odd, t.even, t.last):
+        entries = table.tolist()
+        rows = [[] for _ in range(32)]
+        links = {v: (rows[v >> 8], v & 255) for v in set(entries)}
+        for s, row in enumerate(rows):
+            row.extend(map(links.__getitem__, entries[s << 8 : (s + 1) << 8]))
+            row.append(s & 1)
+        built.append(rows)
+    return tuple(built)
+
+
 def _byte_rows(w):
     """(2m, ...) nibble rows -> (m, ...) byte rows, the even row in the high half."""
     return w[0::2] << 4 | w[1::2]
@@ -241,11 +281,12 @@ def _packed(blocks, rks):
 
 
 class BatchCipher:
-    """Batched key schedule, encryption and decryption over one quasigroup."""
+    """Key schedule, encryption and decryption over one quasigroup, batched or walked."""
 
     def __init__(self, q: Quasigroup = INRU):
         if q.order != 16:
             raise ValueError("batch engine expects an order-16 quasigroup")
+        self.q = q
         self.tables = tables(q)
 
     # -- chained string transformations --------------------------------------
@@ -284,32 +325,7 @@ class BatchCipher:
                 table.take(idx, out=row)
                 prev = row
 
-    # -- diffusion, state shape (8, n) --------------------------------------
-
-    # Diffusion is an xor scan over the 64 state bits (v0 the msb of byte
-    # 0).  Inside each byte it is the byte scan the round tables fuse, over
-    # the whole array; the parity carried in from the other bytes and the
-    # leader bit (1 from the left, 0 from the right) is a 7-step row scan
-    # whose result flips all eight bits of a byte.
-
-    @staticmethod
-    def _diffuse_left(w):
-        y = _prefix_xors(w)
-        flip = y & 1  # the low bit is the byte's parity
-        for t in range(1, 8):
-            flip[t] ^= flip[t - 1]
-        y[1:] ^= flip[:-1] * np.uint8(255)
-        y ^= 255  # the leader bit 1 enters every prefix
-        return y
-
-    @staticmethod
-    def _diffuse_right(w):
-        y = _suffix_xors(w)
-        flip = y >> 7  # the top bit is the byte's parity
-        for t in range(6, -1, -1):
-            flip[t] ^= flip[t + 1]
-        y[:-1] ^= flip[1:] * np.uint8(255)
-        return y
+    # -- inverse diffusion, state shape (8, n) -------------------------------
 
     @staticmethod
     def _undiffuse_left(w):
@@ -402,33 +418,89 @@ class BatchCipher:
     # -- block encryption ----------------------------------------------------
 
     def _rounds(self, state, kb, rounds):
-        """The round loop on (8, n) byte rows, yielding (round, after_kxor, output).
+        """The round loop on (8, n) byte rows.
 
-        Each round walks its table over the byte rows in chain order and
-        ends with the conditional complement.  ``state`` is only read;
-        every yielded array is fresh and never modified later.
+        Yields ``(round, table, forward, after_kxor, output)`` per round,
+        with the table and direction of :func:`_round_plan`.  Each round
+        walks its table over the byte rows in chain order and ends with
+        the conditional complement.  ``state`` is only read; every
+        yielded array is fresh and never modified later.
         """
         check_rounds(rounds)
-        t = self.tables
+        round_tables = self.tables[:3]
         idx = np.empty(state.shape[1], dtype=np.uint16)
         for i in range(1, rounds + 1):
             k = kb[i - 1]
             x = state ^ k
             walk = np.empty(x.shape, dtype=np.uint16)
-            if i & 1:  # leader: first nibble of the odd round's key
-                table, rows, e = t.odd, range(8), (k[0] & 0xF0).astype(np.uint16) << 5
-            else:  # leader: last nibble of the even round's key
-                # Only the literal 16th round drops its diffusion step.
-                table = t.even if i != 16 else t.last
-                rows, e = range(7, -1, -1), (k[7] & 15).astype(np.uint16) << 9
-            for j in rows:
+            table, e, forward = _round_plan(i, k, round_tables)
+            e = e.astype(np.uint16) << 8
+            for j in range(8) if forward else range(7, -1, -1):
                 np.bitwise_and(e, 0x1F00, out=idx)
                 idx |= x[j]
                 e = walk[j]
                 table.take(idx, out=e)
             state = walk.astype(np.uint8)
             state ^= ((e >> 8) & 1).astype(np.uint8) * np.uint8(255)
-            yield i, x, state
+            yield i, table, forward, x, state
+
+    def int_encryptor(self, rks, rounds: int = NUM_ROUNDS) -> Callable[[int], int]:
+        """Encryption of one block under (17, 8) byte round keys, on its 64-bit integer.
+
+        The block is the ``Block.to_int`` integer.  The per-round plan
+        (the round's key bytes and their complement, the start row of
+        the round's walk, walk direction) is bound once, so a chained
+        mode pays for it once per message.  The walk runs over the
+        linked rows of :func:`_round_table_rows`: a step ``s, o_j =
+        s[o_j ^ k_j]`` reads keyed byte j and moves to the next row in
+        one subscript.  The block is unpacked into its eight output
+        bytes ``o0..o7`` on entry and stays there between rounds; the
+        eight steps of a round are written out in its direction.  The
+        all-ones complement that a round owes when its final row's
+        parity ``c = s[256]`` is 1 is folded into the next round's key
+        bytes (``ks[c]``), and after the last round into the whitening
+        key; the block is packed back into an int only on exit.
+        """
+        rks = _shaped(rks, "round keys", (17, 8))
+        check_rounds(rounds)
+        round_rows = _round_table_rows(self.q)
+        keys, comps = rks.tolist(), (rks ^ 255).tolist()
+        plan = []
+        for i in range(1, rounds + 1):
+            k = keys[i - 1]
+            rows, s, forward = _round_plan(i, k, round_rows)
+            plan.append(((tuple(k), tuple(comps[i - 1])), rows[s], forward))
+        plan = tuple(plan)
+        from_bytes = int.from_bytes
+        whitening = (from_bytes(bytes(keys[rounds]), "big"), from_bytes(bytes(comps[rounds]), "big"))
+
+        def encrypt(x: int) -> int:
+            o0, o1, o2, o3, o4, o5, o6, o7 = x.to_bytes(8, "big")
+            c = 0
+            for ks, s, forward in plan:
+                k0, k1, k2, k3, k4, k5, k6, k7 = ks[c]
+                if forward:
+                    s, o0 = s[o0 ^ k0]
+                    s, o1 = s[o1 ^ k1]
+                    s, o2 = s[o2 ^ k2]
+                    s, o3 = s[o3 ^ k3]
+                    s, o4 = s[o4 ^ k4]
+                    s, o5 = s[o5 ^ k5]
+                    s, o6 = s[o6 ^ k6]
+                    s, o7 = s[o7 ^ k7]
+                else:
+                    s, o7 = s[o7 ^ k7]
+                    s, o6 = s[o6 ^ k6]
+                    s, o5 = s[o5 ^ k5]
+                    s, o4 = s[o4 ^ k4]
+                    s, o3 = s[o3 ^ k3]
+                    s, o2 = s[o2 ^ k2]
+                    s, o1 = s[o1 ^ k1]
+                    s, o0 = s[o0 ^ k0]
+                c = s[256]  # the round's parity: it owes a complement
+            return from_bytes(bytes((o0, o1, o2, o3, o4, o5, o6, o7)), "big") ^ whitening[c]
+
+        return encrypt
 
     def trace_rounds(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS):
         """Encrypt (n, 8) byte blocks round by round, yielding nibble intermediates.
@@ -442,12 +514,13 @@ class BatchCipher:
         """
         blocks = _shaped(blocks, "blocks", (None, 8))
         rows = np.ascontiguousarray(blocks.T)
-        for i, x, out in self._rounds(rows, _round_key_rows(rks, len(blocks)), rounds):
+        last = self.tables.last
+        for i, table, forward, x, out in self._rounds(rows, _round_key_rows(rks, len(blocks)), rounds):
             state = _nibble_rows(out)
-            if i == 16:
+            if table is last:
                 yield i, _nibble_rows(x), state, None
             else:
-                undiffuse = self._undiffuse_right if i & 1 else self._undiffuse_left
+                undiffuse = self._undiffuse_right if forward else self._undiffuse_left
                 yield i, _nibble_rows(x), _nibble_rows(undiffuse(out)), state
         return state
 
@@ -462,7 +535,7 @@ class BatchCipher:
         out = np.empty((8, len(blocks)), dtype=np.uint8)
         for cols, rows, kb in _slices(blocks, rks):
             # Keep only the last round's arrays while draining the loop.
-            _, _, state = deque(self._rounds(rows, kb, rounds), maxlen=1)[0]
+            state = deque(self._rounds(rows, kb, rounds), maxlen=1)[0][-1]
             np.bitwise_xor(state, kb[rounds], out=out[:, cols])
         return out.T
 

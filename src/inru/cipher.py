@@ -1,4 +1,4 @@
-"""The 16-round 64-bit block cipher: packing, round functions, key schedule.
+"""The 16-round 64-bit block cipher: value types, packing, one-block views, vectors.
 
 Packing convention, the single source of truth shared with the ANF and
 analysis modules: a block is 16 nibbles m0..m15; byte j packs m(2j) in its
@@ -21,31 +21,16 @@ so they keep the diffusion step in their final round; only the literal
 round 16 drops it.  Decryption of a reduced variant inverts the rounds it
 actually ran.
 
-The scalar encryption engine (:func:`int_encryptor`) takes the block as
-its 64-bit integer (the ``Block.to_int`` convention) and runs each round
-as one walk over the state's 8 bytes.  The walk steps through linked
-rows built from the round tables of :func:`inru.batch.tables`, which
-fuse the confusion chain with the diffusion scan and which the batch
-engine walks directly: a row stands for one walk state, and its entry
-for a keyed byte holds the next row and the output byte.  The block is
-unpacked into its eight output bytes once on entry and packed back once
-on exit: between rounds the state stays in those bytes, and the
-complement a round owes is folded into the next round's key bytes.  It
-binds the round plan of one key schedule (its :attr:`RoundKeys.key_bytes`)
-once and returns the block function, so a chained mode pays for the plan
-once per message; :func:`encrypt_block` is a one-block view over it.
-
-The key schedule (:func:`key_mixing`, :func:`round_key_generation`,
-:func:`expand_key`) is a one-key view, and decryption and the traced
-encryption are one-block views, over :class:`inru.batch.BatchCipher`,
-the library's only implementation of each.  They pass it the block's 8
-bytes as byte rows, the engine's only state format.  :class:`RoundKeys`
+How a round runs (its table, leader and direction, and both encryption
+kernels) is defined once, in :mod:`inru.batch`.  Encryption, decryption,
+the traced encryption and the key schedule (:func:`key_mixing`,
+:func:`round_key_generation`, :func:`expand_key`) are one-block or
+one-key views over :class:`inru.batch.BatchCipher`.  :class:`RoundKeys`
 holds the engine's 136 round-key bytes as they come out of the key
 schedule, and every engine reads them as :attr:`RoundKeys.key_bytes`,
 the (17, 8) byte round keys; its nibble ``Block`` views (``rk[i]``,
 :attr:`RoundKeys.keys`) serve the traced encryption, the algebraic
-system and the printed key schedule.  The diffusion layers live in the
-engine only.
+system and ``inru keyschedule``.
 
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
@@ -54,12 +39,11 @@ keys and round keys can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
-from .batch import NUM_ROUNDS, BatchCipher, check_rounds, tables
+from .batch import NUM_ROUNDS, BatchCipher
 from .quasigroup import INRU, Quasigroup, is_hex
 
 BLOCK_NIBBLES = 16
@@ -204,91 +188,6 @@ class RoundKeys:
 # -- Algorithms 1 and 2 ------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _round_table_rows(q: Quasigroup) -> tuple[list[list], list[list], list[list]]:
-    """The round tables of :func:`inru.batch.tables` as linked rows.
-
-    Each table becomes 32 rows, one per walk state s.  Entry b of row s is
-    ``(rows[s'], output byte)`` for the table's entry ``s << 8 | b`` =
-    ``s' << 8 | output byte``, and entry 256 is the row's parity ``s & 1``.
-    A table holds only a few hundred distinct entries, so the rows share
-    one link tuple per distinct entry.
-    """
-    t = tables(q)
-    built = []
-    for table in (t.odd, t.even, t.last):
-        entries = table.tolist()
-        rows = [[] for _ in range(32)]
-        links = {v: (rows[v >> 8], v & 255) for v in set(entries)}
-        for s, row in enumerate(rows):
-            row.extend(map(links.__getitem__, entries[s << 8 : (s + 1) << 8]))
-            row.append(s & 1)
-        built.append(rows)
-    return tuple(built)
-
-
-def int_encryptor(
-    rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
-) -> Callable[[int], int]:
-    """:func:`encrypt_block` under fixed round keys, on the block's 64-bit integer.
-
-    The per-round plan (the round key's row of :attr:`RoundKeys.key_bytes`
-    and its complement, the start row of the round's walk, walk
-    direction) is bound once.  The walk runs over the linked rows of
-    :func:`_round_table_rows`: a step ``s, o_j = s[o_j ^ k_j]`` reads
-    keyed byte j and moves to the next row in one subscript.  The block is unpacked into its eight output bytes
-    ``o0..o7`` on entry and stays there between rounds; the eight steps of
-    a round are written out in its direction.  The all-ones complement
-    that a round owes when its final row's parity ``c = s[256]`` is 1 is
-    folded into the next round's key bytes (``ks[c]``), and after the last
-    round into the whitening key; the block is packed back into an int
-    only on exit.
-    """
-    check_rounds(rounds)
-    odd, even, last = _round_table_rows(q)
-    keys, comps = rk.key_bytes.tolist(), (rk.key_bytes ^ 255).tolist()
-    plan = []
-    for i in range(1, rounds + 1):
-        k = keys[i - 1]
-        ks = (tuple(k), tuple(comps[i - 1]))
-        if i & 1:  # leader: first nibble of the odd round's key
-            plan.append((ks, odd[(k[0] >> 4) << 1], True))
-        else:  # leader: last nibble of the even round's key
-            # Only the literal 16th round drops its diffusion step.
-            plan.append((ks, (even if i != 16 else last)[(k[7] & 15) << 1], False))
-    plan = tuple(plan)
-    from_bytes = int.from_bytes
-    whitening = (from_bytes(bytes(keys[rounds]), "big"), from_bytes(bytes(comps[rounds]), "big"))
-
-    def encrypt(x: int) -> int:
-        o0, o1, o2, o3, o4, o5, o6, o7 = x.to_bytes(8, "big")
-        c = 0
-        for ks, s, forward in plan:
-            k0, k1, k2, k3, k4, k5, k6, k7 = ks[c]
-            if forward:
-                s, o0 = s[o0 ^ k0]
-                s, o1 = s[o1 ^ k1]
-                s, o2 = s[o2 ^ k2]
-                s, o3 = s[o3 ^ k3]
-                s, o4 = s[o4 ^ k4]
-                s, o5 = s[o5 ^ k5]
-                s, o6 = s[o6 ^ k6]
-                s, o7 = s[o7 ^ k7]
-            else:
-                s, o7 = s[o7 ^ k7]
-                s, o6 = s[o6 ^ k6]
-                s, o5 = s[o5 ^ k5]
-                s, o4 = s[o4 ^ k4]
-                s, o3 = s[o3 ^ k3]
-                s, o2 = s[o2 ^ k2]
-                s, o1 = s[o1 ^ k1]
-                s, o0 = s[o0 ^ k0]
-            c = s[256]  # the round's parity: it owes a complement
-        return from_bytes(bytes((o0, o1, o2, o3, o4, o5, o6, o7)), "big") ^ whitening[c]
-
-    return encrypt
-
-
 def encrypt_block(
     m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
 ) -> Block:
@@ -298,9 +197,10 @@ def encrypt_block(
     nibble of the round key, then apply the suffix-xor diffusion; even
     rounds mirror this (leader = last nibble, prefix-xor diffusion), and
     round 16 skips diffusion.  A final xor with rk[rounds] whitens the
-    output.
+    output.  A view over :meth:`inru.batch.BatchCipher.int_encryptor` on
+    one block.
     """
-    return Block.from_int(int_encryptor(rk, rounds, q)(m.to_int()))
+    return Block.from_int(BatchCipher(q).int_encryptor(rk.key_bytes, rounds)(m.to_int()))
 
 
 def decrypt_block(
@@ -320,17 +220,10 @@ def decrypt_block(
 
 @dataclass(frozen=True)
 class RoundTrace:
-    """Intermediate values of one encryption round, for analysis harnesses.
-
-    ``sbox_inputs[t]`` is the (chain, message) nibble pair entering the
-    confusion-layer lookup at position t; for odd rounds the chain input of
-    position 0 is the leader, for even rounds that of position 15.
-    """
+    """Intermediate nibbles of one encryption round, for analysis harnesses."""
 
     index: int
-    round_key: tuple[int, ...]
     after_kxor: tuple[int, ...]
-    sbox_inputs: tuple[tuple[int, int], ...]
     after_sbox: tuple[int, ...]
     after_diffusion: tuple[int, ...] | None
 
@@ -345,18 +238,8 @@ def encrypt_block_traced(
     traces = []
     block = np.frombuffer(m.to_bytes(), dtype=np.uint8)[None]
     for i, y, z, u in BatchCipher(q).trace_rounds(block, rk.key_bytes, rounds):
-        after_kxor = tuple(y[:, 0].tolist())
-        after_sbox = tuple(z[:, 0].tolist())
         after_diffusion = None if u is None else tuple(u[:, 0].tolist())
-        key = rk[i - 1].nibbles
-        if i & 1:  # chained left to right from the key's first nibble
-            chain = (key[0],) + after_sbox[:15]
-        else:  # right to left from its last nibble
-            chain = after_sbox[1:] + (key[15],)
-        sbox_inputs = tuple(zip(chain, after_kxor))
-        traces.append(
-            RoundTrace(i, key, after_kxor, sbox_inputs, after_sbox, after_diffusion)
-        )
+        traces.append(RoundTrace(i, tuple(y[:, 0].tolist()), tuple(z[:, 0].tolist()), after_diffusion))
     state = traces[-1].after_diffusion or traces[-1].after_sbox
     return Block(state) ^ rk[rounds], tuple(traces)
 

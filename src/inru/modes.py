@@ -26,7 +26,7 @@ import numpy as np
 
 from .batch import BatchCipher
 # encrypt_block is re-exported: ``inru.modes.encrypt_block`` stays importable.
-from .cipher import RoundKeys, encrypt_block, int_encryptor  # noqa: F401
+from .cipher import RoundKeys, encrypt_block  # noqa: F401
 from .nist_tests import BitSequence
 
 MODES = ("cbc", "cfb", "ofb", "ctr")
@@ -132,7 +132,7 @@ class ModeStream:
         if cfg.mode == "ctr" or (decrypt and cfg.mode != "ofb"):
             self._step = self._batch
         else:
-            self._encrypt = int_encryptor(rk)
+            self._encrypt = BatchCipher().int_encryptor(rk.key_bytes)
             self._step = self._chained
 
     def update(self, data: bytes) -> bytes:

@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .special_functions import erfc, igamc, normal_cdf
+from .special_functions import PHI_SATURATED, erfc, igamc, normal_cdf
 
 #: The significance level: a sequence passes a test when every p-value is at least this.
 ALPHA = 0.01
@@ -325,6 +325,15 @@ def longest_run_of_ones(seq) -> TestResult:
 _CHUNK_BITS = 1 << 17
 
 
+def _unsaturated(ks, j, sat):
+    """The k of ``ks`` with -sat < 4k + j + 2 and 4k + j < sat, in order.
+
+    These are the terms Phi(4k + j + 2) - Phi(4k + j) of a cumulative-sums
+    p-value that are not 0.0 by saturation at |j| >= sat.
+    """
+    return range(max(ks.start, (-sat - j - 2) // 4 + 1), min(ks.stop, -((j - sat) // 4)))
+
+
 def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     seq = as_bit_sequence(seq)
     n = seq.nbits
@@ -357,12 +366,20 @@ def cumulative_sums(seq, direction: str = "forward") -> TestResult:
     first = range(int(math.floor((-n / z + 1) / 4)), int(math.floor((n / z - 1) / 4)) + 1)
     second = range(int(math.floor((-n / z - 3) / 4)), first.stop)
     # Both sums read Phi(j * z / sqrt(n)) only at the odd j from
-    # 4 * second.start + 1 to 4 * first.stop - 1; evaluate each once.
-    phi = {j: normal_cdf(j * z / sqn) for j in range(4 * second.start + 1, 4 * first.stop, 2)}
+    # 4 * second.start + 1 to 4 * first.stop - 1.  Phi is exactly 0.0 at
+    # j <= -sat and 1.0 at j >= sat, sat the first odd j >= 1 whose
+    # argument reaches PHI_SATURATED, so a term whose two j lie on one of
+    # those sides is exactly 0.0.  Both sums skip those terms and keep
+    # the others in order, which read Phi at odd |j| <= sat only.
+    sat = 1
+    while sat * z / sqn < PHI_SATURATED:
+        sat += 2
+    keys = range(max(4 * second.start + 1, -sat), min(4 * first.stop, sat + 1), 2)
+    phi = {j: normal_cdf(j * z / sqn) for j in keys}
     total = 1.0
-    for k in first:
+    for k in _unsaturated(first, -1, sat):
         total -= phi[4 * k + 1] - phi[4 * k - 1]
-    for k in second:
+    for k in _unsaturated(second, 1, sat):
         total += phi[4 * k + 3] - phi[4 * k + 1]
     p = min(max(total, 0.0), 1.0)
     return TestResult("CSF" if direction == "forward" else "CSB", (p,), {"n": n, "z": z})

@@ -90,11 +90,11 @@ def erfc(x: float) -> float:
 
 # From |x| = 40 on, the scale factor of erfc(|x| / sqrt(2)) underflows to
 # exactly 0, so Phi(x) is exactly 1 or 0.
-_PHI_SATURATED = 40.0
+PHI_SATURATED = 40.0
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal distribution function Phi(x); exactly 0 or 1 past +-40."""
-    if abs(x) >= _PHI_SATURATED:
+    if abs(x) >= PHI_SATURATED:
         return 1.0 if x > 0 else 0.0
     return 0.5 * erfc(-x / math.sqrt(2.0))

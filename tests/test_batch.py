@@ -13,7 +13,6 @@ from inru.cipher import (
     RoundKeys,
     encrypt_block,
     expand_key,
-    int_encryptor,
 )
 from inru.quasigroup import INRU, Quasigroup, conjugate
 
@@ -211,14 +210,23 @@ def test_rounds_validation(engine):
 
 
 _DIFFUSIONS = [
-    (BatchCipher._diffuse_left, BatchCipher._undiffuse_left, ora.ora_diffuse_left),
-    (BatchCipher._diffuse_right, BatchCipher._undiffuse_right, ora.ora_diffuse_right),
+    (ora.ora_diffuse_left, BatchCipher._undiffuse_left, ora.ora_undiffuse_left),
+    (ora.ora_diffuse_right, BatchCipher._undiffuse_right, ora.ora_undiffuse_right),
 ]
+
+
+def _columns_diffused(diffuse, rows):
+    """An oracle diffusion layer applied to each column of (8, n) byte rows."""
+    nibbles = np.stack([rows >> 4, rows & 15], axis=1).reshape(16, -1)
+    out = np.array([diffuse(column) for column in nibbles.T.tolist()], dtype=np.uint8).T
+    return out[0::2] << 4 | out[1::2]
 
 
 @pytest.mark.parametrize("diffuse, undiffuse, oracle", _DIFFUSIONS)
 @pytest.mark.parametrize("width", [1, 3, 8, 13, 1000])
 def test_diffusion_matches_oracle_column_by_column(diffuse, undiffuse, oracle, width):
+    # The round tables fuse forward diffusion, so the oracle's layer is the
+    # forward reference for the engine's inverse layers.
     rng = np.random.default_rng(width)
     w = rng.integers(0, 16, size=(16, width), dtype=np.uint8)
     w[:, 0] = 15  # every parity carry set
@@ -226,14 +234,14 @@ def test_diffusion_matches_oracle_column_by_column(diffuse, undiffuse, oracle, w
         w[:, 1] = 0
     rows = w[0::2] << 4 | w[1::2]  # the layers take (8, n) byte rows
     before = rows.copy()
-    out = diffuse(rows)
+    out = undiffuse(rows)
     assert np.array_equal(rows, before)
     assert out.shape == (8, width) and out.dtype == np.uint8
     nibbles = np.stack([out >> 4, out & 15], axis=1).reshape(16, width)
     for j in range(width):
         assert nibbles[:, j].tolist() == oracle(w[:, j].tolist())
-    assert np.array_equal(undiffuse(out), rows)
-    assert np.array_equal(diffuse(undiffuse(rows)), rows)
+    assert np.array_equal(undiffuse(_columns_diffused(diffuse, rows)), rows)
+    assert np.array_equal(_columns_diffused(diffuse, out), rows)
 
 
 @pytest.mark.parametrize("rounds", [3, 16])
@@ -303,11 +311,11 @@ def test_encrypt_under_a_second_quasigroup(second_quasigroup, second_quasigroup_
     blocks, rks, round_keys = second_quasigroup_batches[width]
     xs = _block_ints(blocks)
     shared = eng.encrypt(blocks, rks[0], rounds)
-    walk = int_encryptor(round_keys[0], rounds, q)
+    walk = eng.int_encryptor(round_keys[0].key_bytes, rounds)
     assert _block_ints(shared) == [walk(x) for x in xs]
     assert np.array_equal(eng.decrypt(shared, rks[0], rounds), blocks)
     per_block = eng.encrypt(blocks, rks, rounds)
-    assert _block_ints(per_block) == [int_encryptor(r, rounds, q)(x) for x, r in zip(xs, round_keys)]
+    assert _block_ints(per_block) == [eng.int_encryptor(r.key_bytes, rounds)(x) for x, r in zip(xs, round_keys)]
     assert np.array_equal(eng.decrypt(per_block, rks, rounds), blocks)
 
 
@@ -395,6 +403,7 @@ _SHAPE_CASES = [  # (method, argument shapes, the error's message)
     ("expand_keys", [(2, 32), (3, 16)], "ivs must have shape (2, 16), got (3, 16)"),
     ("expand_key_bytes", [(2, 31)], "keys must have shape (n, 32), got (2, 31)"),
     ("trace_rounds", [(3, 8), (17, 16)], _BYTE_RKS + "(17, 16)"),
+    ("int_encryptor", [(17, 16)], "round keys must have shape (17, 8), got (17, 16)"),
 ]
 
 
@@ -424,10 +433,9 @@ def test_sliced_engine_matches_scalar_and_oracle_across_slice_boundaries(engine,
     picks = {0, n - 1, *rng.choice(n, 3, replace=False).tolist(), *(c for c in edges if 0 <= c < n)}
     for c in sorted(picks):
         rk_rows = rks if shared else rks[c]
-        rk = RoundKeys(rk_rows)
         oracle_rks = [_nibbles_of(row) for row in rk_rows]
         x = int.from_bytes(bytes(blocks[c]), "big")
-        assert int.from_bytes(bytes(ct[c]), "big") == int_encryptor(rk)(x)
+        assert int.from_bytes(bytes(ct[c]), "big") == engine.int_encryptor(rk_rows)(x)
         assert _nibbles_of(ct[c]) == ora.ora_encrypt(_nibbles_of(blocks[c]), oracle_rks)
         assert _nibbles_of(pt[c]) == ora.ora_decrypt(_nibbles_of(blocks[c]), oracle_rks)
     assert np.array_equal(engine.decrypt_bytes(ct, rks), blocks)

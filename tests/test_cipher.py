@@ -4,20 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import straightline as ora
-from inru.batch import BatchCipher, tables
+from inru.batch import BatchCipher, _round_table_rows, tables
 from inru.cipher import (
     Block,
     Diversifier,
     MasterKey,
     MixedKeyState,
     RoundKeys,
-    _round_table_rows,
     builtin_vectors,
     decrypt_block,
     encrypt_block,
     encrypt_block_traced,
     expand_key,
-    int_encryptor,
     key_mixing,
     parse_vector_line,
     read_vectors,
@@ -255,7 +253,7 @@ def test_int_engine_matches_oracle_and_batch_engine(rounds, rng):
     for key, m, r, want in zip(keys, blocks, rks, batch.tolist()):
         ora_rks = ora.ora_expand_key(list(key.nibbles), [0] * 16)
         assert ora.ora_encrypt(list(m.nibbles), ora_rks, rounds) == want
-        assert int_encryptor(r, rounds)(m.to_int()) == Block(tuple(want)).to_int()
+        assert BatchCipher().int_encryptor(r.key_bytes, rounds)(m.to_int()) == Block(tuple(want)).to_int()
         assert encrypt_block(m, r, rounds) == Block(tuple(want))
 
 
@@ -265,11 +263,11 @@ def test_bound_walk_is_reusable_across_blocks(rounds, rng):
     # state between blocks, so it agrees with the batch engine on every one.
     rks = expand_key(random_key(rng), random_iv(rng))
     blocks = [random_block(rng) for _ in range(64)]
-    walk = int_encryptor(rks, rounds)
+    walk = BatchCipher().int_encryptor(rks.key_bytes, rounds)
     batch = BatchCipher().encrypt(np.array([m.nibbles for m in blocks]), np.array([k.nibbles for k in rks.keys], np.uint8), rounds)
     assert [walk(m.to_int()) for m in blocks] == [Block(tuple(row)).to_int() for row in batch.tolist()]
     with pytest.raises(ValueError):
-        int_encryptor(rks, 0)
+        BatchCipher().int_encryptor(rks.key_bytes, 0)
 
 
 @pytest.mark.parametrize("rounds", range(1, 17))
@@ -289,7 +287,7 @@ def test_bound_walk_matches_oracle_with_both_round_parities(which, rounds, rng, 
     ora_rks = ora.ora_expand_key(list(key.nibbles), list(iv.nibbles))
     assert [list(k.nibbles) for k in rks.keys] == ora_rks
     blocks = [random_block(rng) for _ in range(32)]
-    walk = int_encryptor(rks, rounds, q)
+    walk = BatchCipher(q).int_encryptor(rks.key_bytes, rounds)
     for m in blocks:
         want = ora.ora_encrypt(list(m.nibbles), ora_rks, rounds)
         assert walk(m.to_int()) == Block(tuple(want)).to_int()
@@ -335,7 +333,7 @@ def test_walk_rows_link_the_round_tables(which):
 def test_bound_walk_orbit_matches_batch_engine(rounds, rng):
     # An OFB-style orbit x -> E(x) of one bound walk, checked step by step.
     rks = expand_key(random_key(rng), random_iv(rng))
-    walk = int_encryptor(rks, rounds)
+    walk = BatchCipher().int_encryptor(rks.key_bytes, rounds)
     orbit = [random_block(rng).to_int()]
     for _ in range(1000):
         orbit.append(walk(orbit[-1]))
@@ -354,7 +352,7 @@ def test_int_engine_under_a_second_quasigroup(rounds, rng):
         want = _reference_encrypt(m, rks, rounds, q)
         assert want != _reference_encrypt(m, rks, rounds, INRU)
         assert encrypt_block(m, rks, rounds, q) == want
-        assert int_encryptor(rks, rounds, q)(m.to_int()) == want.to_int()
+        assert engine.int_encryptor(rks.key_bytes, rounds)(m.to_int()) == want.to_int()
         rk_array = np.array([k.nibbles for k in rks.keys])
         assert engine.encrypt(np.array([m.nibbles]), rk_array, rounds).tolist() == [list(want.nibbles)]
         assert decrypt_block(want, rks, rounds, q) == m
@@ -394,12 +392,11 @@ def test_traced_encryption_matches_and_extracts_leaders(rng, rounds):
     for tr in traces:
         rk = rks[tr.index - 1].nibbles
         assert tr.after_kxor == (state ^ rks[tr.index - 1]).nibbles
-        assert tr.round_key == rk
-        if tr.index % 2 == 1:
-            assert tr.sbox_inputs[0][0] == rk[0]  # odd rounds seed from nibble 0
+        if tr.index % 2 == 1:  # odd rounds chain left to right from nibble 0
+            chain = (rk[0],) + tr.after_sbox[:15]
             diffuse = ora.ora_diffuse_right
-        else:
-            assert tr.sbox_inputs[15][0] == rk[15]  # even rounds from nibble 15
+        else:  # even rounds right to left from nibble 15
+            chain = tr.after_sbox[1:] + (rk[15],)
             diffuse = ora.ora_diffuse_left
         assert (tr.after_diffusion is None) == (tr.index == 16)
         state = Block(tr.after_sbox)
@@ -408,8 +405,7 @@ def test_traced_encryption_matches_and_extracts_leaders(rng, rounds):
             assert tr.after_diffusion == state.nibbles
         # chain consistency: each position's output feeds the next lookup
         for t in range(16):
-            lead, x = tr.sbox_inputs[t]
-            assert tr.after_sbox[t] == INRU.mul(lead, x)
+            assert tr.after_sbox[t] == INRU.mul(chain[t], tr.after_kxor[t])
     assert ct == state ^ rks[rounds]
 
 

@@ -201,13 +201,16 @@ def test_run_units_rejects_no_jobs():
 
 
 def test_import_loads_no_process_pool():
-    # run_units imports the pool only when it starts workers, so the
-    # import time of every entry point stays free of it.
+    # run_units imports the pool only when it starts workers, and the
+    # engine builds its tables and linked rows on first use, so the
+    # import time of every entry point stays free of both.
     code = ("import sys, inru, inru.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))")
+            "from inru.batch import _round_table_rows, tables; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()), "
+            "tables.cache_info().currsize, _round_table_rows.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[] 0 0\n"
 
 
 def test_key_avalanche_small_run():

@@ -664,7 +664,9 @@ def test_bits_of_any_numeric_type_give_the_same_result():
 # -- packed kernels against the unpacked reference -----------------------------------
 
 
-REFERENCE_LENGTHS = [1000, 1001, (1 << 16) - 1, (1 << 16) + 1, (1 << 20) - 3, 1 << 20]
+# At n = 100 every Phi argument j * z / sqrt(n) of the cumulative sums
+# lies inside +-40 for all four kinds, so those sums drop no term.
+REFERENCE_LENGTHS = [100, 1000, 1001, (1 << 16) - 1, (1 << 16) + 1, (1 << 20) - 3, 1 << 20]
 
 
 def _reference_input(n, kind):

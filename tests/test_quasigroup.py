@@ -15,6 +15,7 @@ from inru.quasigroup import (
     has_proper_subquasigroup,
     is_medial,
     is_simple,
+    load_square,
     parse_square,
 )
 
@@ -310,7 +311,9 @@ def test_parse_square_rejects_garbage():
 
 
 def test_packaged_square_file_matches_embedded_constant():
-    from importlib.resources import files
+    from importlib.resources import as_file, files
 
-    text = files("inru.data").joinpath("inru_square.txt").read_text()
-    assert parse_square(text) == [list(r) for r in INRU.mul_table]
+    square = files("inru.data").joinpath("inru_square.txt")
+    assert parse_square(square.read_text()) == [list(r) for r in INRU.mul_table]
+    with as_file(square) as path:
+        assert load_square(path).mul_table == INRU.mul_table
