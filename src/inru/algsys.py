@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .anf import coordinate_anf
-from .batch import check_rounds
+from .batch import check_rounds, round_shape
 from .cipher import Block, RoundKeys, encrypt_block_traced
 from .quasigroup import INRU
 
@@ -95,15 +95,9 @@ class AlgebraicSystem:
 
 def _order_note(rounds: int) -> list[str]:
     parts = ["x0..x63"]
-    for r in range(1, rounds + 1):
-        parts.append(f"k{r}_*")
-        parts.append(f"y{r}_*")
-        parts.append(f"z{r}_*")
-        if r != 16:
-            parts.append(f"u{r}_*")
-    parts.append(f"k{rounds + 1}_*")
-    parts.append("c0..c63")
-    return parts
+    for r in range(1, rounds + 1):  # k, y, z and, if the round diffuses, u
+        parts += [f"{v}{r}_*" for v in ("kyzu" if round_shape(r)[1] else "kyz")]
+    return parts + [f"k{rounds + 1}_*", "c0..c63"]
 
 
 def _substituted_sbox_equation(
@@ -134,29 +128,28 @@ def emit_algebraic_system(rounds: int) -> AlgebraicSystem:
             equations.append(
                 Equation(yv[i], frozenset({(yv[i],), (kv[i],), (prev[i],)}))
             )
-        # odd rounds chain left to right from the key's first nibble, even
-        # rounds right to left from its last
-        nibbles = range(16) if r & 1 else range(15, -1, -1)
+        # the chain runs in the round's direction, led by the key's first nibble in that order
+        forward, diffused = round_shape(r)
+        nibbles = range(16) if forward else range(15, -1, -1)
         leader = kv[4 * nibbles[0] : 4 * nibbles[0] + 4]
         for t in nibbles:
             ins = yv[4 * t : 4 * t + 4]
             for i in range(4):
                 equations.append(_substituted_sbox_equation(coord[i], leader, ins, zv[4 * t + i]))
             leader = zv[4 * t : 4 * t + 4]
-        if r != 16:
+        prev = zv
+        if diffused:
             uv = [f"u{r}_{i}" for i in range(64)]
             variables += uv
-            # odd rounds: suffix xor, leader 0: u63 = z63, ui = zi + u(i+1);
-            # even rounds: prefix xor, leader 1: u0 = z0 + 1, ui = zi + u(i-1)
-            carry = () if r & 1 else ((),)
-            for i in (range(63, -1, -1) if r & 1 else range(64)):
+            # forward rounds: suffix xor, leader 0: u63 = z63, ui = zi + u(i+1);
+            # backward rounds: prefix xor, leader 1: u0 = z0 + 1, ui = zi + u(i-1)
+            carry = () if forward else ((),)
+            for i in (range(63, -1, -1) if forward else range(64)):
                 equations.append(
                     Equation(uv[i], frozenset({(uv[i],), (zv[i],), *carry}))
                 )
                 carry = ((uv[i],),)
             prev = uv
-        else:
-            prev = zv
 
     last_key = [f"k{rounds + 1}_{i}" for i in range(64)]
     cv = [f"c{i}" for i in range(64)]

@@ -42,9 +42,10 @@ Encryption walks the round tables as row steps in
 :meth:`BatchCipher.encrypt_bytes` and :meth:`BatchCipher.trace_rounds`,
 and as linked rows (:func:`_round_table_rows`) in
 :meth:`BatchCipher.int_encryptor`, which the chained modes bind once
-per stream.  Both kernels take each round's table, leader and direction
-from :func:`_round_plan`.  The test suite pins both kernels to the
-independent transcription in ``tests/straightline.py``.
+per stream.  Both read :func:`round_shape`, the round rule, through
+:func:`_round_plan`, and decryption, the round trace, difference propagation
+and the algebraic system read it directly; ``tests/straightline.py``
+pins both kernels to an independent transcription.
 """
 
 from __future__ import annotations
@@ -182,21 +183,29 @@ def tables(q: Quasigroup) -> Tables:
     return built
 
 
-def _round_plan(i, k, round_tables):
-    """Encryption round i's table, its leader's walk state and its direction.
+def round_shape(i: int) -> tuple[bool, bool]:
+    """Round i's ``(forward, diffused)``, the one statement of the cipher's round rule.
 
-    ``k`` is the round's 8 key bytes, as ints or as byte rows across a
-    batch, and ``round_tables`` is the odd, even and last round table in
-    either kernel's form.  Odd rounds chain left to right from the key's
-    first nibble, even rounds right to left from its last nibble.  The
-    leader's walk state is its nibble with parity 0.  Returns ``(table,
-    state, forward)``, with ``forward`` true for left to right.
+    Odd rounds chain left to right, even ones right to left, each led as
+    :func:`_leader` says; only the literal round 16 drops diffusion.
     """
+    return i % 2 == 1, i != 16
+
+
+def _leader(k, forward):
+    """The round leader: key ``k``'s first nibble in chain order, for 8 ints or 8 byte rows."""
+    return k[0] >> 4 if forward else k[7] & 15
+
+
+def _round_plan(i, k, round_tables):
+    """Encryption round i's table, its leader's walk state (parity 0) and its direction.
+
+    ``round_tables`` is the odd (forward), even and last (undiffused) round
+    table in either kernel's form.
+    """
+    forward, diffused = round_shape(i)
     odd, even, last = round_tables
-    if i & 1:
-        return odd, (k[0] >> 4) << 1, True
-    # Only the literal 16th round drops its diffusion step.
-    return (even if i != 16 else last), (k[7] & 15) << 1, False
+    return (odd if forward else even if diffused else last), _leader(k, forward) << 1, forward
 
 
 @lru_cache(maxsize=8)
@@ -420,11 +429,10 @@ class BatchCipher:
     def _rounds(self, state, kb, rounds):
         """The round loop on (8, n) byte rows.
 
-        Yields ``(round, table, forward, after_kxor, output)`` per round,
-        with the table and direction of :func:`_round_plan`.  Each round
-        walks its table over the byte rows in chain order and ends with
-        the conditional complement.  ``state`` is only read; every
-        yielded array is fresh and never modified later.
+        Yields ``(round, after_kxor, output)`` per round.  Each round walks
+        the table of :func:`_round_plan` over the byte rows in chain order
+        and ends with the conditional complement.  ``state`` is only read;
+        every yielded array is fresh and never modified later.
         """
         check_rounds(rounds)
         round_tables = self.tables[:3]
@@ -442,7 +450,7 @@ class BatchCipher:
                 table.take(idx, out=e)
             state = walk.astype(np.uint8)
             state ^= ((e >> 8) & 1).astype(np.uint8) * np.uint8(255)
-            yield i, table, forward, x, state
+            yield i, x, state
 
     def int_encryptor(self, rks, rounds: int = NUM_ROUNDS) -> Callable[[int], int]:
         """Encryption of one block under (17, 8) byte round keys, on its 64-bit integer.
@@ -514,14 +522,12 @@ class BatchCipher:
         """
         blocks = _shaped(blocks, "blocks", (None, 8))
         rows = np.ascontiguousarray(blocks.T)
-        last = self.tables.last
-        for i, table, forward, x, out in self._rounds(rows, _round_key_rows(rks, len(blocks)), rounds):
-            state = _nibble_rows(out)
-            if table is last:
-                yield i, _nibble_rows(x), state, None
-            else:
-                undiffuse = self._undiffuse_right if forward else self._undiffuse_left
-                yield i, _nibble_rows(x), _nibble_rows(undiffuse(out)), state
+        for i, x, out in self._rounds(rows, _round_key_rows(rks, len(blocks)), rounds):
+            forward, diffused = round_shape(i)
+            state = after_sbox = _nibble_rows(out)
+            if diffused:
+                after_sbox = _nibble_rows(self._undiffuse_right(out) if forward else self._undiffuse_left(out))
+            yield i, _nibble_rows(x), after_sbox, state if diffused else None
         return state
 
     def encrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
@@ -542,8 +548,9 @@ class BatchCipher:
     def decrypt_bytes(self, blocks: np.ndarray, rks: np.ndarray, rounds: int = NUM_ROUNDS) -> np.ndarray:
         """Invert :meth:`encrypt_bytes` on (n, 8) byte blocks, sliced and returned as it does.
 
-        Round i undiffuses, looks every adjacent pair of rows up in its
-        division table (the leader in a ninth row), then xors its key.
+        Round i undiffuses if it diffused (:func:`round_shape`), looks every
+        adjacent pair of rows up in its division table (the leader in a ninth
+        row), then xors its key.
         """
         check_rounds(rounds)
         blocks = _shaped(blocks, "blocks", (None, 8))
@@ -554,14 +561,13 @@ class BatchCipher:
             pairs = np.empty((9, w.shape[1]), dtype=np.uint16)
             for i in range(rounds, 0, -1):
                 k = kb[i - 1]
-                if i & 1:  # d_left from the first nibble of the odd round's key
-                    table = t.dleft
-                    pairs[0] = k[0] >> 4
-                    pairs[1:] = self._undiffuse_right(w)
-                else:  # d_right from the last nibble of the even round's key
-                    table = t.dright
-                    pairs[:8] = w if i == 16 else self._undiffuse_left(w)
-                    pairs[8] = (k[7] & 15) << 4
+                forward, diffused = round_shape(i)
+                if diffused:
+                    w = self._undiffuse_right(w) if forward else self._undiffuse_left(w)
+                if forward:  # d_left reads the leader's low nibble from a first row
+                    table, pairs[0], pairs[1:] = t.dleft, _leader(k, forward), w
+                else:  # d_right reads the leader's high nibble from a ninth row
+                    table, pairs[:8], pairs[8] = t.dright, w, _leader(k, forward) << 4
                 idx = pairs[:-1] << 8
                 idx |= pairs[1:]
                 w = table.take(idx)

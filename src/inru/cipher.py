@@ -193,12 +193,10 @@ def encrypt_block(
 ) -> Block:
     """Encrypt one block (Algorithm: xor round key, confusion layer, diffusion).
 
-    Odd rounds chain the quasigroup layer from the left with leader = first
-    nibble of the round key, then apply the suffix-xor diffusion; even
-    rounds mirror this (leader = last nibble, prefix-xor diffusion), and
-    round 16 skips diffusion.  A final xor with rk[rounds] whitens the
-    output.  A view over :meth:`inru.batch.BatchCipher.int_encryptor` on
-    one block.
+    Each round's direction, leader and diffusion step follow
+    :func:`inru.batch.round_shape`, and a final xor with rk[rounds]
+    whitens the output.  A view over
+    :meth:`inru.batch.BatchCipher.int_encryptor` on one block.
     """
     return Block.from_int(BatchCipher(q).int_encryptor(rk.key_bytes, rounds)(m.to_int()))
 
@@ -208,10 +206,10 @@ def decrypt_block(
 ) -> Block:
     """Invert encrypt_block.
 
-    Decryption round i undoes encryption round (rounds+1-i), so it reads
-    its leader from the opposite end of that round's key: the inverse of an
-    even (right-chained) encryption round is a right-to-left division chain
-    seeded with the key's first nibble, and vice versa.  A view over
+    Each decryption round undoes one encryption round, last round first,
+    with the shape :func:`inru.batch.round_shape` gives that round: it
+    reads its leader from the same end of the round key, the last nibble
+    for an even round and the first for an odd one.  A view over
     :meth:`inru.batch.BatchCipher.decrypt_bytes` at batch size 1.
     """
     block = np.frombuffer(c.to_bytes(), dtype=np.uint8)[None]

@@ -1,10 +1,11 @@
 """Empirical diffusion experiments: difference propagation, avalanche, SAC.
 
 All experiments draw their randomness from a seeded generator so runs are
-reproducible; heavy ones accept a ``jobs`` argument and farm fixed per-key
-work units out through :func:`run_units`, as the battery does.  Units and
-their sub-seeds depend only on the experiment seed, and results merge in
-unit order, so the output is identical for every jobs value.
+reproducible.  Avalanche and SAC take ``jobs`` and farm fixed per-key work
+units out through :func:`run_units`, as the battery does; units and their
+sub-seeds depend only on the seed and results merge in unit order, so the
+output is identical for every jobs value.  The key avalanche and
+difference propagation take no ``jobs`` and slice their own loops.
 
 The avalanche units run on the batch engine's byte methods: string bit
 b is bit 7 - (b mod 8) of byte b // 8, so they flip bits as bytes and
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import SLICE_BLOCKS, BatchCipher, _byte_rows, check_rounds
+from .batch import SLICE_BLOCKS, BatchCipher, _byte_rows, check_rounds, round_shape
 from .cipher import Block
 
 
@@ -82,7 +83,7 @@ def _activation_counts(eng, keys, pts, delta, rounds):
     for i, after_kxor, after_sbox, _ in eng.trace_rounds(pairs, np.concatenate([rks, rks]), rounds):
         differs = after_kxor[:, :m] != after_kxor[:, m:]
         chain_differs = after_sbox[:, :m] != after_sbox[:, m:]
-        if i & 1:  # position t chains from t-1, position 0 from the leader
+        if round_shape(i)[0]:  # forward: position t chains from t-1, position 0 from the leader
             differs[1:] |= chain_differs[:-1]
         else:  # position t chains from t+1, position 15 from the leader
             differs[:-1] |= chain_differs[1:]

@@ -61,6 +61,8 @@ class LatinSquareError(ValueError):
 def latin_violation(rows: Sequence[Sequence[int]]) -> str | None:
     """Return a description of the first Latin-square violation, or None."""
     n = len(rows)
+    if n == 0:
+        return "the table has no rows"
     for i, row in enumerate(rows):
         if len(row) != n:
             return f"row {i} has length {len(row)}, expected {n}"

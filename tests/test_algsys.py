@@ -88,7 +88,7 @@ def test_render_header_and_shape():
     assert len(polys) == 448
 
 
-@pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4, 15, 16])
 def test_system_satisfied_by_instrumented_traces(rounds):
     rnd = random.Random(rounds)
     system = emit_algebraic_system(rounds)

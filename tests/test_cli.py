@@ -451,6 +451,17 @@ def test_square_file_that_is_not_ascii_is_data_error(tmp_path, capsys):
     assert "bad square file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "# no rows\n\n"], ids=["empty", "comments-only"])
+@pytest.mark.parametrize("instrument", ["ddt", "lat", "qg-check"])
+def test_square_file_without_rows_is_data_error(instrument, text, tmp_path, capsys):
+    square = tmp_path / "square.txt"
+    square.write_text(text)
+    assert run_cli("analyze", instrument, "--square", str(square)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad square file: the table has no rows\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "instrument", ["diff-prop", "avalanche", "sac", "key-avalanche", "nist", "algsys"]
 )

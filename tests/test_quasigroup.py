@@ -77,6 +77,11 @@ def test_constructor_rejects_out_of_range():
         Quasigroup(rows)
 
 
+def test_constructor_rejects_empty_table():
+    with pytest.raises(LatinSquareError, match="no rows"):
+        Quasigroup([])
+
+
 def test_check_latin():
     assert check_latin(INRU.mul_table)
     transpose = [[INRU.mul_table[r][c] for r in range(16)] for c in range(16)]
