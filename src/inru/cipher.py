@@ -24,13 +24,14 @@ actually ran.
 How a round runs (its table, leader and direction, and both encryption
 kernels) is defined once, in :mod:`inru.batch`.  Encryption, decryption,
 the traced encryption and the key schedule (:func:`key_mixing`,
-:func:`round_key_generation`, :func:`expand_key`) are one-block or
-one-key views over :class:`inru.batch.BatchCipher`.  :class:`RoundKeys`
-holds the engine's 136 round-key bytes as they come out of the key
-schedule, and every engine reads them as :attr:`RoundKeys.key_bytes`,
-the (17, 8) byte round keys; its nibble ``Block`` views (``rk[i]``,
-:attr:`RoundKeys.keys`) serve the traced encryption, the algebraic
-system and ``inru keyschedule``.
+:func:`round_key_generation`, :func:`expand_key`) are INRU's one-block
+or one-key views over :class:`inru.batch.BatchCipher`; they take no
+quasigroup, and ``BatchCipher(q)`` runs the cipher over another order-16
+square.  :class:`RoundKeys` holds the engine's 136 round-key bytes as
+they come out of the key schedule, and every engine reads them as
+:attr:`RoundKeys.key_bytes`, the (17, 8) byte round keys; its nibble
+``Block`` views (``rk[i]``, :attr:`RoundKeys.keys`) serve the traced
+encryption, the algebraic system and ``inru keyschedule``.
 
 All value types here are immutable and every function is pure, so blocks,
 keys and round keys can be shared freely across threads.
@@ -44,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .batch import NUM_ROUNDS, BatchCipher
-from .quasigroup import INRU, Quasigroup, is_hex
+from .quasigroup import is_hex
 
 BLOCK_NIBBLES = 16
 KEY_NIBBLES = 32
@@ -188,9 +189,7 @@ class RoundKeys:
 # -- Algorithms 1 and 2 ------------------------------------------------------
 
 
-def encrypt_block(
-    m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
-) -> Block:
+def encrypt_block(m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS) -> Block:
     """Encrypt one block (Algorithm: xor round key, confusion layer, diffusion).
 
     Each round's direction, leader and diffusion step follow
@@ -198,12 +197,10 @@ def encrypt_block(
     whitens the output.  A view over
     :meth:`inru.batch.BatchCipher.int_encryptor` on one block.
     """
-    return Block.from_int(BatchCipher(q).int_encryptor(rk.key_bytes, rounds)(m.to_int()))
+    return Block.from_int(BatchCipher().int_encryptor(rk.key_bytes, rounds)(m.to_int()))
 
 
-def decrypt_block(
-    c: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
-) -> Block:
+def decrypt_block(c: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS) -> Block:
     """Invert encrypt_block.
 
     Each decryption round undoes one encryption round, last round first,
@@ -213,7 +210,7 @@ def decrypt_block(
     :meth:`inru.batch.BatchCipher.decrypt_bytes` at batch size 1.
     """
     block = np.frombuffer(c.to_bytes(), dtype=np.uint8)[None]
-    return Block.from_bytes(BatchCipher(q).decrypt_bytes(block, rk.key_bytes, rounds).tobytes())
+    return Block.from_bytes(BatchCipher().decrypt_bytes(block, rk.key_bytes, rounds).tobytes())
 
 
 @dataclass(frozen=True)
@@ -226,16 +223,14 @@ class RoundTrace:
     after_diffusion: tuple[int, ...] | None
 
 
-def encrypt_block_traced(
-    m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS, q: Quasigroup = INRU
-) -> tuple[Block, tuple[RoundTrace, ...]]:
+def encrypt_block_traced(m: Block, rk: RoundKeys, rounds: int = NUM_ROUNDS) -> tuple[Block, tuple[RoundTrace, ...]]:
     """encrypt_block plus the full list of per-round intermediates.
 
     A view over :meth:`inru.batch.BatchCipher.trace_rounds` at batch size 1.
     """
     traces = []
     block = np.frombuffer(m.to_bytes(), dtype=np.uint8)[None]
-    for i, y, z, u in BatchCipher(q).trace_rounds(block, rk.key_bytes, rounds):
+    for i, y, z, u in BatchCipher().trace_rounds(block, rk.key_bytes, rounds):
         after_diffusion = None if u is None else tuple(u[:, 0].tolist())
         traces.append(RoundTrace(i, tuple(y[:, 0].tolist()), tuple(z[:, 0].tolist()), after_diffusion))
     state = traces[-1].after_diffusion or traces[-1].after_sbox
@@ -245,35 +240,31 @@ def encrypt_block_traced(
 # -- Algorithms 3 and 4: key schedule ----------------------------------------
 
 
-def key_mixing(
-    key: MasterKey, iv: Diversifier | None = None, q: Quasigroup = INRU
-) -> MixedKeyState:
+def key_mixing(key: MasterKey, iv: Diversifier | None = None) -> MixedKeyState:
     """Mix key and diversifier by 64 alternating chain passes.
 
     A view over :meth:`inru.batch.BatchCipher.mix_keys` at one key.
     """
     ivs = None if iv is None else [iv.nibbles]
-    return MixedKeyState(tuple(BatchCipher(q).mix_keys([key.nibbles], ivs)[0].tolist()))
+    return MixedKeyState(tuple(BatchCipher().mix_keys([key.nibbles], ivs)[0].tolist()))
 
 
-def round_key_generation(a: MixedKeyState, q: Quasigroup = INRU) -> RoundKeys:
+def round_key_generation(a: MixedKeyState) -> RoundKeys:
     """Derive the 17 round keys from the mixed state by 64 more chain passes.
 
     A view over :meth:`inru.batch.BatchCipher.round_keys_from_states` at
     one state.
     """
-    return RoundKeys(BatchCipher(q).round_keys_from_states([a.nibbles])[0])
+    return RoundKeys(BatchCipher().round_keys_from_states([a.nibbles])[0])
 
 
-def expand_key(
-    key: MasterKey, iv: Diversifier | None = None, q: Quasigroup = INRU
-) -> RoundKeys:
+def expand_key(key: MasterKey, iv: Diversifier | None = None) -> RoundKeys:
     """Full key schedule: key mixing followed by round-key generation.
 
     A view over :meth:`inru.batch.BatchCipher.expand_key_bytes` at one key.
     """
     ivs = None if iv is None else [iv.nibbles]
-    return RoundKeys(BatchCipher(q).expand_key_bytes([key.nibbles], ivs)[0])
+    return RoundKeys(BatchCipher().expand_key_bytes([key.nibbles], ivs)[0])
 
 
 # -- known-answer vector files ------------------------------------------------
@@ -294,7 +285,14 @@ class KnownAnswerVector:
 
 
 def parse_vector_line(line: str) -> KnownAnswerVector:
-    fields = dict(part.split("=", 1) for part in line.split())
+    fields = {}
+    for part in line.split():
+        name, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"vector field {part!r} has no '='")
+        if name in fields:
+            raise ValueError(f"vector field {name!r} repeated")
+        fields[name] = value
     missing = {"key", "iv", "pt", "ct"} - fields.keys()
     if missing:
         raise ValueError(f"vector line missing {sorted(missing)}: {line!r}")
@@ -307,11 +305,15 @@ def parse_vector_line(line: str) -> KnownAnswerVector:
 
 
 def read_vectors(text: str) -> list[KnownAnswerVector]:
+    """The vectors of a file's text; an error names its 1-based line."""
     vectors = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            vectors.append(parse_vector_line(line))
+            try:
+                vectors.append(parse_vector_line(line))
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
     return vectors
 
 

@@ -5,7 +5,8 @@ failures (bad padding, mismatching vectors), 4 I/O problems.  Usage errors
 include a flag the command or its mode does not use, a malformed value and
 an empty one (``--out=``, ``--square=``, ``--delta=``, ``--iv=``, ...).
 Output files are written to a temporary sibling and renamed into place, so
-a failing run never leaves a partial file.  ``encrypt`` and ``decrypt``
+a failing run never leaves a partial file; an ``--out`` that names a
+directory fails with exit 4 before any work.  ``encrypt`` and ``decrypt``
 stream their input through :class:`inru.modes.ModeStream` in pieces of one
 batch-engine slice (128 KiB), so memory does not grow with the file.
 ``vectors generate`` writes seeded random known-answer vectors and
@@ -17,6 +18,7 @@ run with the same flags produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -241,7 +243,7 @@ def _analyze_diff_prop(args) -> str:
     res = diff_propagation_experiment(args.rounds, delta, args.trials, seed=args.seed)
     lines = [
         f"# difference propagation, {args.rounds} round(s), {args.trials} trials,"
-        f" input difference {delta.to_hex()}",
+        f" input difference {delta.to_hex()}, seed {args.seed}",
         "# rows: round; columns: Sbox position; entries: activation frequency",
     ]
     for r in range(res.rounds):
@@ -269,7 +271,8 @@ def _analyze_sac(args) -> str:
         args.trials, keys=args.keys, rounds=args.rounds, seed=args.seed, jobs=args.jobs
     )
     lines = [
-        f"# strict avalanche matrix: {args.trials} trials, {res.keys} keys, seed {args.seed}",
+        f"# strict avalanche matrix: {args.trials} trials, {res.keys} keys,"
+        f" {args.rounds} round(s), seed {args.seed}",
         render_ranges("strict avalanche", res.ranges).rstrip(),
         "# matrix rows: flipped plaintext bit; columns: ciphertext bit",
     ]
@@ -281,7 +284,7 @@ def _analyze_sac(args) -> str:
 def _analyze_key_avalanche(args) -> str:
     res = avalanche_key(args.trials, rounds=args.rounds, seed=args.seed)
     lines = [
-        f"# key avalanche: {args.trials} trials, seed {args.seed}",
+        f"# key avalanche: {args.trials} trials, {args.rounds} round(s), seed {args.seed}",
         f"min round-key bits flipped by any single key-bit flip: {res.min_roundkey_flips}",
         f"mean round-key flip fraction: {res.roundkey_flip_mean:.4f}",
         f"mean ciphertext flip fraction: {res.ct_flip_mean:.4f}",
@@ -414,6 +417,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)  # "-" is stdout for the commands that print reports
+        if out not in (None, "-") and os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, "--out names a directory", out)
         return args.func(args)
     except (DataError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,6 +5,10 @@ with precomputed left- and right-division tables, so every operation is an
 O(1) lookup.  Bit conventions for order-16 elements: bit 0 of a nibble is the
 most significant bit (value 8).
 
+:data:`INRU`, the cipher's square, is read at import from its one copy,
+``inru/data/inru_square.txt``; :class:`inru.batch.BatchCipher` also runs
+the cipher over any other order-16 quasigroup.
+
 Hex text anywhere in the package (square files here, and the key, block
 and command-line values of :mod:`inru.cipher` and :mod:`inru.cli`) takes
 ASCII hex digits only, checked by :func:`is_hex`.
@@ -12,34 +16,13 @@ ASCII hex digits only, checked by :func:`is_hex`.
 
 from __future__ import annotations
 
+from importlib.resources import files
 from typing import Sequence
 
 NibbleString = tuple[int, ...]
 
 LEFT = "left"
 RIGHT = "right"
-
-# Multiplication table of the order-16 quasigroup the cipher is built on,
-# one row per line, entries in hex.
-INRU_ROWS = (
-    "5 c 1 0 2 e 9 8 f d 3 b 7 a 4 6",
-    "f 4 3 a 8 d 6 2 5 e 1 7 b 0 c 9",
-    "6 7 d 2 0 3 f a 9 1 e 4 c 8 b 5",
-    "8 d 7 9 f 4 0 5 2 c b 3 1 6 e a",
-    "4 f 0 1 d 8 7 e c 2 a 6 9 3 5 b",
-    "9 b e 8 a 1 5 0 6 3 d c 4 2 7 f",
-    "a 1 c f 9 b 2 6 0 7 4 e d 5 3 8",
-    "e 2 9 7 c 5 1 4 d f 6 a 0 b 8 3",
-    "7 6 8 e 3 0 4 1 b a 2 f 5 d 9 c",
-    "2 e b 6 5 c a f 8 4 7 1 3 9 d 0",
-    "b 9 2 d 1 a c 3 7 0 8 5 f e 6 4",
-    "0 3 4 5 6 7 8 9 a b c d e f 1 2",
-    "3 0 f c 7 6 d b 1 9 5 8 2 4 a e",
-    "1 a 5 4 b 9 e 7 3 6 f 2 8 c 0 d",
-    "d 8 6 b 4 f 3 c e 5 9 0 a 7 2 1",
-    "c 5 a 3 e 2 b d 4 8 0 9 6 1 f 7",
-)
-
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -308,4 +291,4 @@ def load_square(path) -> Quasigroup:
 
 
 #: The cipher's built-in order-16 quasigroup.
-INRU = Quasigroup(parse_square("\n".join(INRU_ROWS)))
+INRU = Quasigroup(parse_square(files("inru.data").joinpath("inru_square.txt").read_text()))

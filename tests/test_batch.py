@@ -276,18 +276,14 @@ def second_quasigroup():
 
 
 def test_expand_keys_under_a_second_quasigroup(second_quasigroup):
-    q, eng = second_quasigroup
+    _, eng = second_quasigroup
     rng = np.random.default_rng(40)
     keys = rng.integers(0, 16, size=(12, 32), dtype=np.uint8)
     ivs = rng.integers(1, 16, size=(12, 16), dtype=np.uint8)  # nonzero diversifiers
     rks = eng.expand_keys(keys, ivs)
     assert not np.array_equal(rks, BatchCipher().expand_keys(keys, ivs))
     for j in range(12):
-        ref = expand_key(
-            MasterKey(tuple(int(v) for v in keys[j])),
-            Diversifier(tuple(int(v) for v in ivs[j])),
-            q,
-        )
+        ref = RoundKeys(eng.expand_key_bytes(keys[j : j + 1], ivs[j : j + 1])[0])
         assert [list(k.nibbles) for k in ref.keys] == rks[j].tolist()
 
 

@@ -283,7 +283,7 @@ def test_bound_walk_matches_oracle_with_both_round_parities(which, rounds, rng, 
         assert q.mul_table == tuple(map(tuple, ora.ORACLE_LDIV))
         monkeypatch.setattr(ora, "ORACLE_SQUARE", ora.ORACLE_LDIV)
     key, iv = random_key(rng), random_iv(rng)
-    rks = expand_key(key, iv, q)
+    rks = RoundKeys(BatchCipher(q).expand_key_bytes([key.nibbles], [iv.nibbles])[0])
     ora_rks = ora.ora_expand_key(list(key.nibbles), list(iv.nibbles))
     assert [list(k.nibbles) for k in rks.keys] == ora_rks
     blocks = [random_block(rng) for _ in range(32)]
@@ -348,14 +348,14 @@ def test_int_engine_under_a_second_quasigroup(rounds, rng):
     engine = BatchCipher(q)
     for _ in range(4):
         key, iv, m = random_key(rng), random_iv(rng), random_block(rng)
-        rks = expand_key(key, iv, q)
+        rks = RoundKeys(engine.expand_key_bytes([key.nibbles], [iv.nibbles])[0])
         want = _reference_encrypt(m, rks, rounds, q)
         assert want != _reference_encrypt(m, rks, rounds, INRU)
-        assert encrypt_block(m, rks, rounds, q) == want
         assert engine.int_encryptor(rks.key_bytes, rounds)(m.to_int()) == want.to_int()
         rk_array = np.array([k.nibbles for k in rks.keys])
         assert engine.encrypt(np.array([m.nibbles]), rk_array, rounds).tolist() == [list(want.nibbles)]
-        assert decrypt_block(want, rks, rounds, q) == m
+        ct = np.frombuffer(want.to_bytes(), dtype=np.uint8)[None]
+        assert engine.decrypt_bytes(ct, rks.key_bytes, rounds).tobytes() == m.to_bytes()
 
 
 def test_two_round_inverse_exhaustive_last_nibble(rng):
@@ -504,5 +504,14 @@ def test_vector_line_round_trip():
 def test_vector_parsing_errors():
     with pytest.raises(ValueError, match="missing"):
         parse_vector_line("key=00 iv=00")
+    line = builtin_vectors()[0].to_line()
+    with pytest.raises(ValueError, match="^vector field 'garbage' has no '='$"):
+        parse_vector_line(line + " garbage")
+    with pytest.raises(ValueError, match="^vector field 'key' repeated$"):
+        parse_vector_line(line + " key=" + "0" * 32)
+    with pytest.raises(ValueError, match="^line 3: vector field 'garbage' has no '='$"):
+        read_vectors(f"# header\n{line}\ngarbage {line}\n")
+    with pytest.raises(ValueError, match="^line 2: key hex needs 32 digits, got 2$"):
+        read_vectors(f"\nkey=00 iv=00 pt=00 ct=00\n{line}\n")
     text = "# comment only\n\n"
     assert read_vectors(text) == []

@@ -325,6 +325,18 @@ def test_vectors_corruption_detected(tmp_path, capsys):
     assert captured.out.count("vector ") == 1  # exactly one offending line reported
 
 
+def test_vectors_verify_names_the_bad_line(tmp_path, capsys):
+    vf = tmp_path / "vec.txt"
+    run_cli("vectors", "generate", "--count", "3", "--seed", "1", "--out", str(vf))
+    lines = vf.read_text().splitlines()  # a comment line, then the vectors
+    lines[2] += " garbage"
+    vf.write_text("\n".join(lines) + "\n")
+    assert run_cli("vectors", "verify", str(vf)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: vector field 'garbage' has no '='\n"
+    assert captured.out == ""
+
+
 def test_vectors_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
     vf = tmp_path / "vec.txt"
     vf.write_bytes(b"\xff\xfe not text\n")
@@ -553,6 +565,29 @@ def test_empty_flag_values_are_usage_errors(argv, flag, tmp_path, monkeypatch, c
     # no temporary output file, here or in the parent directory
     assert [p.name for p in tmp_path.iterdir()] == ["work"]
     assert [p.name for p in work.iterdir()] == ["msg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "algsys", "--rounds", "1"],
+    ["analyze", "sac", "--trials", "4", "--keys", "1"],
+    ["keyschedule", "--key", KEY],
+    ["vectors", "generate", "--count", "1"],
+    ["encrypt", "--key", KEY, "--in", "msg"],
+    ["decrypt", "--key", KEY, "--mode", "ofb", "--in", "msg"],
+])
+def test_out_naming_a_directory_is_io_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    (work / "DIR").mkdir(parents=True)
+    (work / "msg").write_bytes(bytes(2 * PIECE))
+    monkeypatch.chdir(work)
+    assert run_cli(*argv, "--out", "DIR") == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 21] --out names a directory: 'DIR'\n"
+    assert captured.out == ""
+    # nothing written into the directory, beside it or in the parent
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert sorted(p.name for p in work.iterdir()) == ["DIR", "msg"]
+    assert list((work / "DIR").iterdir()) == []
 
 
 @pytest.mark.parametrize("rows", [

@@ -6,7 +6,9 @@ file.  The commands run in order in one directory that holds the input
 files made by :func:`_make_inputs`, so ``decrypt`` and ``vectors verify``
 read what earlier commands wrote.  A change to an entry must be named,
 with its reason, where the change is recorded.  To rewrite the file after
-such a change, run ``PYTHONPATH=src python tests/test_cli_outputs.py``.
+such a change, run ``PYTHONPATH=src python tests/test_cli_outputs.py``;
+before it writes, it reports on stderr the argv of each entry whose line
+changed, was added or was removed, and the count of changed entries.
 """
 
 from __future__ import annotations
@@ -124,9 +126,27 @@ def test_cli_outputs_match_the_pin(tmp_path):
             assert pinned == by_argv[argv[: -1] + "1"], argv
 
 
+def _report_changes(old: list[str], new: list[str]) -> None:
+    """Print to stderr the argv of each entry that changed, was added or was removed."""
+    before = {line.split(" ", 3)[3]: line for line in old}
+    after = {line.split(" ", 3)[3]: line for line in new}
+    changed = [argv for argv in after if argv in before and after[argv] != before[argv]]
+    for argv in changed:
+        print(f"changed: {argv}", file=sys.stderr)
+    for argv in after:
+        if argv not in before:
+            print(f"added: {argv}", file=sys.stderr)
+    for argv in before:
+        if argv not in after:
+            print(f"removed: {argv}", file=sys.stderr)
+    print(f"{len(changed)} entries changed", file=sys.stderr)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         lines = _run_all(Path(tmp))
+    old = PIN.read_text().splitlines() if PIN.exists() else []
+    _report_changes([line for line in old if not line.startswith("#")], lines)
     PIN.write_text("# exit stdout-sha256 out-sha256 argv; see tests/test_cli_outputs.py\n"
                    + "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} entries to {PIN}", file=sys.stderr)
